@@ -1385,14 +1385,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.no_fast_path:
-        import os
-
         from repro.core import execution
 
-        # The module flag covers this process (and fork-started
-        # workers); the environment variable covers spawn-started ones.
+        # Covers this process and the parallel executor's workers,
+        # which are forked from it.
         execution.FAST_PATH_ENABLED = False
-        os.environ["REPRO_FAST_PATH"] = "0"
     try:
         if args.experiment == "scenario":
             return _cmd_scenario(args)

@@ -39,9 +39,8 @@ truth.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, Optional, Set, Tuple
 
 from repro.failures.generator import Failure
 from repro.obs.bus import EventBus
@@ -64,20 +63,20 @@ from repro.sim.resources import SlotPool
 
 #: Master switch for the failure-horizon fast path (docs/PERFORMANCE.md).
 #: The stepped and fast paths are bit-identical, so this exists only for
-#: measurement and bisection: set ``REPRO_FAST_PATH=0`` in the
-#: environment, pass ``--no-fast-path`` on the CLI, or flip the module
-#: attribute to force every engine onto the stepped path.
-FAST_PATH_ENABLED = os.environ.get("REPRO_FAST_PATH", "1") != "0"
+#: measurement and bisection: pass ``--no-fast-path`` on the CLI, or
+#: flip the module attribute to force every engine onto the stepped
+#: path.
+FAST_PATH_ENABLED = True
 
 class JumpAborted(Exception):
     """Interrupt cause that aborts a fast-path jump without a failure.
 
     Sent by :class:`PoolContentionGate` when a newly placed job closes
     the gate while jumps that folded shared-pool checkpoints are in
-    flight.  The engine rewinds to its nearest snapshot, fast-replays
-    to the abort instant, finishes the operation in flight with real
-    kernel sleeps (taking a real pool ticket when mid-checkpoint), and
-    returns to the main loop under the now-closed gate.
+    flight.  The engine restores its pre-jump snapshot, re-folds to the
+    abort instant, finishes the operation in flight with real kernel
+    sleeps (taking a real pool ticket when mid-checkpoint), and returns
+    to the main loop under the now-closed gate.
     """
 
 
@@ -274,17 +273,8 @@ class ResilientExecution:
     #: Float slop when mapping positions to boundary indices.
     _EPS = 1e-9
 
-    #: Snapshot cadence inside greedy jumps: one state snapshot per
-    #: this many folded iterations bounds replay-on-interrupt to a
-    #: constant number of iterations without snapshotting every one.
-    #: Snapshots are cheap (a few scalars + two small dict copies), so
-    #: a tight cadence wins on failure-heavy cells; 8 measured fastest
-    #: at fig4 scale, with 4 paying more in snapshots than it saves in
-    #: replay.
-    _SNAPSHOT_EVERY = 8
-
     #: Iteration budget per greedy jump.  An interrupted jump's applied
-    #: iterations are thrown away and re-planned after the failure, so
+    #: iterations are thrown away and re-folded after the failure, so
     #: unbounded jumps cost O(failures x remaining-iterations) on
     #: failure-heavy jobs; capping a jump keeps the waste per interrupt
     #: constant while still folding dozens of kernel suspensions into
@@ -335,7 +325,6 @@ class ResilientExecution:
             if lvl.shared_resource is not None
             and lvl.shared_resource in self._resources
         }
-        self._levels_by_index = {lvl.index: lvl for lvl in plan.levels}
         #: Precomputed boundary -> level table for the fast path's hot
         #: loop: ``boundary_level(b)`` depends only on ``b`` modulo the
         #: lcm of the level multipliers, so a small table replaces the
@@ -530,74 +519,135 @@ class ResilientExecution:
     def _fast_forward(self, total: float, base: float) -> Generator:
         """Closed-form jump over the failure-free stretch.
 
-        Applies whole main-loop iterations (work segments + boundary
+        Folds whole main-loop iterations (work segments + boundary
         checkpoint) whose kernel suspensions would all land strictly
         before the next failure interrupt and at or before the run
-        horizon, then sleeps once to the folded end time.  Returns True
-        when anything was applied (the main loop then re-evaluates) and
-        False to fall back to one stepped iteration.
+        horizon (:meth:`_fold`), then sleeps once to the folded end
+        time.  Returns True when anything was applied (the main loop
+        then re-evaluates) and False to fall back to one stepped
+        iteration.
 
-        Exactness: :meth:`_plan_iteration` replays the stepped path's
-        float operations in program order and no RNG is consumed
-        between failures, so state and stats are bit-identical (the
-        exactness argument is spelled out in docs/PERFORMANCE.md).  The
-        horizon may move *earlier* mid-jump (the datacenter injector
-        re-draws its pending gap on every allocation change, and a
-        system failure may strike another application first); the
+        The horizon may move *earlier* mid-jump (the datacenter
+        injector re-draws its pending gap on every allocation change,
+        and a system failure may strike another application first); the
         interrupt then lands inside the jump timeout, and the engine
-        restores the nearest preceding snapshot and replays the planned
-        segments up to the interrupt instant exactly as the stepped
-        path would have run them, before handling the failure normally.
+        restores its pre-jump snapshot and re-folds to the interrupt
+        instant, cutting the operation in flight short exactly as the
+        stepped path would have, before handling the failure normally.
 
         Greedy mode (datacenter) ignores the horizon entirely: the jump
-        runs to completion (or the run cap, or the first iteration the
-        contention gate forbids) and relies on interrupt-and-replay for
-        any failure that lands inside it — the engine only wakes when a
-        failure actually strikes *it*.  Jumps that fold shared-pool
-        checkpoints register with the gate, whose closing aborts them
-        mid-sleep (:class:`JumpAborted` -> :meth:`_resume_after_abort`);
-        while the gate is closed, planning stops before the first
-        pool-backed boundary so that checkpoint queues for real.
-        Snapshots are taken every :attr:`_SNAPSHOT_EVERY` folded
-        iterations to bound the replay length.
+        runs to completion (or the run cap, the iteration budget, or
+        the first iteration the contention gate forbids) and relies on
+        interrupt-and-replay for any failure that lands inside it — the
+        engine only wakes when a failure actually strikes *it*.  Jumps
+        that fold shared-pool checkpoints register with the gate, whose
+        closing aborts them mid-sleep (:class:`JumpAborted` ->
+        :meth:`_resume_after_abort`); while the gate is closed, folding
+        stops before the first pool-backed boundary so that checkpoint
+        queues for real.
         """
         start = self._sim.now
+        limit = None
         if self._greedy:
             horizon = math.inf
+            limit = self._GREEDY_MAX_ITERATIONS
         else:
             fire = self._failure_horizon()
             horizon = math.inf if fire is None else fire
             if horizon <= start:
                 return False  # the pending failure is due right now
-        cap = math.inf if self._until is None else self._until
         gate = self._gate
+        snapshot = self._snapshot_state()
+        t, iterations, uses_pool, _ = self._fold(
+            start,
+            total,
+            base,
+            horizon=horizon,
+            cap=math.inf if self._until is None else self._until,
+            limit=limit,
+            gate=gate,
+        )
+        self.fast_iterations_skipped += iterations
+        if t == start:
+            return False
+        self.fast_jumps += 1
+        if uses_pool:
+            gate.begin_jump(self, self._process)
+        try:
+            yield self._sim.timeout_at(t)
+        except Interrupt as interrupt:
+            if uses_pool:
+                gate.end_jump(self)
+            # Re-folds take no bounds: they re-apply iterations this
+            # jump already accepted, under a gate that may have closed.
+            self._restore_state(snapshot)
+            if isinstance(interrupt.cause, JumpAborted):
+                yield from self._resume_after_abort(start, total, base)
+                return True
+            # A failure at a wake instant preempts the wake, so an
+            # operation ending exactly at the interrupt is cut short.
+            self._cut_short(self._fold(start, total, base, cut=self._sim.now)[3])
+            yield from self._on_failure(interrupt.cause)
+            return True
+        if uses_pool:
+            gate.end_jump(self)
+        return True
+
+    def _fold(
+        self,
+        t: float,
+        total: float,
+        base: float,
+        cut: float = math.inf,
+        horizon: float = math.inf,
+        cap: float = math.inf,
+        limit: Optional[int] = None,
+        gate: Optional[PoolContentionGate] = None,
+    ) -> Tuple[float, int, bool, Optional[tuple]]:
+        """Apply main-loop iterations from virtual time *t* in closed form.
+
+        An iteration is the stepped path's :meth:`run` loop body — work
+        and recovery segments to the next boundary (:meth:`_work_to`),
+        then the boundary checkpoint after pending-commit settlement
+        (:meth:`_checkpoint`) — computed with the same float operations
+        in program order (wake times are ``started + duration`` there
+        too, via the kernel's ``now + delay`` scheduling).  No RNG is
+        consumed between failures, so state and stats land
+        bit-identical (docs/PERFORMANCE.md; the bit-identity suites
+        enforce it).
+
+        A jump folds until completion or *limit* iterations, stopping
+        before an iteration whose last suspension reaches *horizon* (a
+        failure there preempts the wake), ends past *cap*, makes no
+        progress, or checkpoints through the pool while *gate* is
+        closed.  A re-fold passes *cut* instead and stops at the first
+        timed operation whose end reaches it, leaving that *straddler*
+        unapplied: ``(activity, start, end, duration, speed,
+        boundary)`` — its planned span, the duration and speed its
+        stepped sleep advances work by (speed 0 for a checkpoint, whose
+        pending-commit settlement is already applied), and the boundary
+        its iteration runs to.
+
+        Returns ``(t, iterations, uses_pool, straddler)``: the virtual
+        time after the whole iterations applied, their count, whether
+        any of them checkpointed through the gated pool, and the
+        straddler (None unless *cut* was reached).
+        """
         plan = self.plan
         stats = self.stats
         eps = self._EPS
         recovery_speedup = plan.recovery_speedup
-        pool_levels = self._pool_levels
+        pool_levels = self._pool_levels if gate is not None else ()
         table = self._level_table
         table_period = self._level_table_period
-        max_iterations = self._GREEDY_MAX_ITERATIONS if self._greedy else None
-        snaps: List[Tuple[float, tuple]] = []
-        uses_pool = False
-        iterations = 0
-        t = start
-        # The loop below is :meth:`_plan_iteration` + :meth:`_apply_op`
-        # fused and inlined — this is the hot path of every simulation,
-        # so op tuples and per-op dispatch are traded for one in-place
-        # pass per iteration.  Work/rework totals are accumulated as
-        # the segments are computed and restored bit-exactly from the
-        # saved scalars when the iteration turns out unacceptable (the
-        # only state touched before the acceptance check); everything
-        # else commits after it.  The engine's scalar state lives in
-        # locals for the duration of the loop (synced back to
-        # ``self``/``stats`` before each snapshot and once at exit —
-        # there are no yields inside, so no one can observe the
-        # in-flight locals).  Any arithmetic edit here needs its mirror
-        # in _plan_iteration/_apply_op (and in the stepped path), which
-        # the bit-identity suites enforce.
-        snapshot_every = self._SNAPSHOT_EVERY
+        # This is the hot path of every simulation.  Work/rework totals
+        # are accumulated as the segments are computed and restored
+        # bit-exactly from the saved scalars when the iteration turns
+        # out unacceptable (the only state touched before the
+        # acceptance check); everything else commits after it.  The
+        # engine's scalar state lives in locals for the duration of the
+        # loop and is written back once at exit — there are no yields
+        # inside, so no one can observe the in-flight locals.
         done_v = self._done
         furthest_v = self._furthest
         pending_v = self._pending_commit
@@ -608,19 +658,10 @@ class ResilientExecution:
         saved = self._saved
         degraded = self._degraded
         counts = stats.checkpoints_taken
+        uses_pool = False
+        iterations = 0
+        straddler = None
         while True:
-            # Snapshot *pre-iteration* state: rejected iterations roll
-            # their stats writes back below, so the state at virtual
-            # time ``t`` always matches what the snapshot recorded.
-            if iterations % snapshot_every == 0:
-                self._done = done_v
-                self._furthest = furthest_v
-                self._pending_commit = pending_v
-                stats.work_time_s = work_v
-                stats.rework_time_s = rework_v
-                stats.checkpoint_time_s = ckpt_v
-                stats.failed_checkpoints = failed_v
-                snaps.append((t, self._snapshot_state()))
             d = done_v
             f = furthest_v
             work0 = work_v
@@ -642,6 +683,10 @@ class ResilientExecution:
                 duration = (seg_pos - d) / speed
                 seg_start = tt
                 tt = tt + duration
+                if tt >= cut:
+                    activity = "recovery" if rework_seg else "work"
+                    straddler = (activity, seg_start, tt, duration, speed, boundary)
+                    break
                 d = d + duration * speed
                 if d > total:
                     d = total
@@ -652,6 +697,10 @@ class ResilientExecution:
                         rework_v = rework_v + (tt - seg_start)
                     else:
                         work_v = work_v + (tt - seg_start)
+            if straddler is not None:
+                done_v = d
+                furthest_v = f
+                break
             completed = d >= total - eps
             seg_end = tt
             level = None
@@ -668,7 +717,7 @@ class ResilientExecution:
                     # pool: fold it only while the gate proves every
                     # request grants immediately; otherwise stop here
                     # and let it queue for real on the stepped path.
-                    if gate is None or not gate.open:
+                    if not gate.open:
                         work_v = work0
                         rework_v = rework0
                         break
@@ -699,6 +748,9 @@ class ResilientExecution:
                         counts[idx] = counts.get(idx, 0) + 1
                     else:
                         failed_v += 1
+                if end >= cut:
+                    straddler = ("checkpoint", seg_end, end, blocking, 0.0, boundary)
+                    break
                 if end > seg_end:
                     ckpt_v = ckpt_v + (end - seg_end)
                 if level.blocking_fraction >= 1.0:
@@ -713,10 +765,8 @@ class ResilientExecution:
                     uses_pool = True
             t = end
             iterations += 1
-            if completed:
-                break
-            if max_iterations is not None and iterations >= max_iterations:
-                break  # wake once and jump again; see _GREEDY_MAX_ITERATIONS
+            if completed or iterations == limit:
+                break  # for the limit, see _GREEDY_MAX_ITERATIONS
         self._done = done_v
         self._furthest = furthest_v
         self._pending_commit = pending_v
@@ -724,129 +774,24 @@ class ResilientExecution:
         stats.rework_time_s = rework_v
         stats.checkpoint_time_s = ckpt_v
         stats.failed_checkpoints = failed_v
-        self.fast_iterations_skipped += iterations
-        if t == start:
-            return False
-        self.fast_jumps += 1
-        registered = uses_pool and gate is not None
-        if registered:
-            gate.begin_jump(self, self._process)
-        try:
-            yield self._sim.timeout_at(t)
-        except Interrupt as interrupt:
-            if registered:
-                gate.end_jump(self)
-            if isinstance(interrupt.cause, JumpAborted):
-                yield from self._resume_after_abort(snaps, total, base)
-                return True
-            until = self._sim.now
-            ts, snapshot = self._nearest_snapshot(snaps, until)
-            self._restore_state(snapshot)
-            self._replay_to(ts, total, base, until)
-            yield from self._on_failure(interrupt.cause)
-            return True
-        if registered:
-            gate.end_jump(self)
-        return True
+        return t, iterations, uses_pool, straddler
 
-    def _plan_iteration(
-        self, t: float, total: float, base: float
-    ) -> Tuple[List[tuple], float, bool]:
-        """One stepped-path main-loop iteration, computed arithmetically.
-
-        Returns ``(ops, end, completed)``: the ordered effect list the
-        stepped path would produce starting at virtual time *t* from
-        the engine's current state, the virtual time after the
-        iteration, and whether the work completes within it.  Pure —
-        nothing is applied here.
-
-        Every float expression below replicates, operation for
-        operation and in program order, what :meth:`run` /
-        :meth:`_work_to` / :meth:`_checkpoint` compute on the stepped
-        path (wake times are ``started + duration`` there too, via the
-        kernel's ``now + delay`` scheduling); any edit on either side
-        needs its mirror, which the fast-path bit-identity tests
-        enforce.
-        """
-        plan = self.plan
-        eps = self._EPS
-        done = self._done
-        furthest = self._furthest
-        ops: List[tuple] = []
-        boundary = int(done / base + eps) + 1
-        target = min(boundary * base, total)
-        while done < target - eps:
-            if done < furthest - eps:
-                segment_end = min(furthest, target)
-                speed = plan.recovery_speedup
-                field_name = "rework_time_s"
-            else:
-                segment_end = target
-                speed = 1.0
-                field_name = "work_time_s"
-            duration = (segment_end - done) / speed
-            started = t
-            t = started + duration
-            ops.append(("seg", field_name, started, t, duration, speed))
-            done = min(total, done + duration * speed)
-            furthest = max(furthest, done)
-        if done >= total - eps:
-            return ops, t, True
-        level = plan.boundary_level(boundary)
-        if self._pending_commit is not None:
-            idx, work, commit_time = self._pending_commit
-            if commit_time <= t + eps:
-                ops.append(("settle_commit", idx, work))
-            else:
-                ops.append(("settle_void", idx))
-        blocking = level.cost_s * level.blocking_fraction
-        started = t
-        t = started + blocking
-        ops.append(("ckpt", level.index, started, t))
-        if level.blocking_fraction >= 1.0:
-            ops.append(("commit", level.index, done))
+    def _cut_short(self, straddler: tuple) -> None:
+        """Apply a re-folded straddler (see :meth:`_fold`) that a
+        failure interrupts now, with the stepped path's interrupt
+        arithmetic (:meth:`_work_to`, :meth:`_checkpoint`)."""
+        activity, started, _end, _duration, speed, boundary = straddler
+        now = self._sim.now
+        if activity == "checkpoint":
+            self._note(activity, started, now)
+            self._checkpoint_failed(self.plan.boundary_level(boundary).index)
         else:
-            remainder = level.cost_s - blocking
-            ops.append(("pending", level.index, done, t + remainder))
-        return ops, t, False
-
-    def _apply_op(self, op: tuple) -> None:
-        """Apply one planned effect with the exact float operations the
-        stepped path's code and stats handlers would perform."""
-        kind = op[0]
-        if kind == "seg":
-            _, field_name, started, end, duration, speed = op
-            self._advance(duration, speed)
-            self._note_stat(field_name, started, end)
-        elif kind == "ckpt":
-            _, _level_index, started, end = op
-            self._note_stat("checkpoint_time_s", started, end)
-        elif kind == "commit" or kind == "settle_commit":
-            _, level_index, work = op
-            if kind == "settle_commit":
-                self._pending_commit = None
-            self._saved[level_index] = work
-            self._degraded.clear()
-            counts = self.stats.checkpoints_taken
-            counts[level_index] = counts.get(level_index, 0) + 1
-        elif kind == "settle_void":
-            self._pending_commit = None
-            self.stats.failed_checkpoints += 1
-        else:  # "pending"
-            _, level_index, work, commit_time = op
-            self._pending_commit = (level_index, work, commit_time)
-
-    def _note_stat(self, field_name: str, start: float, end: float) -> None:
-        """The fast path's stand-in for one ActivitySpan round trip:
-        same zero-length guard and accumulation float op as
-        :meth:`_note` + :meth:`ExecutionStats._on_span`, without the
-        event object (valid because nothing observes the bus)."""
-        if end > start:
-            stats = self.stats
-            setattr(stats, field_name, getattr(stats, field_name) + (end - start))
+            self._advance(now - started, speed)
+            self._note(activity, started, now)
 
     def _snapshot_state(self) -> tuple:
-        """Everything a jump's ops may mutate, for replay-on-interrupt."""
+        """Everything a fold may mutate, for re-folding after an
+        interrupt."""
         stats = self.stats
         return (
             self._done,
@@ -876,176 +821,55 @@ class ResilientExecution:
             stats.checkpoints_taken,
         ) = snapshot
 
-    def _replay_to(
-        self, t: float, total: float, base: float, until: float
-    ) -> None:
-        """Re-derive the jump's segments from the restored snapshot and
-        apply them up to the interrupt instant *until*.
-
-        Segments ending before *until* are applied in full (their
-        synchronous follow-up ops included — on the stepped path those
-        ran inside wake events strictly before the interrupt).  The
-        first segment reaching *until* is the interrupted one: a
-        failure at a wake instant preempts the wake, so ties cut here
-        too, with exactly the stepped path's interrupt-handler
-        arithmetic.  The caller then runs :meth:`_on_failure`.
-        """
-        while True:
-            ops, end, completed = self._plan_iteration(t, total, base)
-            for op in ops:
-                kind = op[0]
-                if kind == "seg":
-                    _, field_name, started, seg_end, _duration, speed = op
-                    if seg_end < until:
-                        self._apply_op(op)
-                        continue
-                    elapsed = until - started
-                    self._advance(elapsed, speed)
-                    self._note_stat(field_name, started, until)
-                    return
-                if kind == "ckpt":
-                    _, _level_index, started, seg_end = op
-                    if seg_end < until:
-                        self._apply_op(op)
-                        continue
-                    self._note_stat("checkpoint_time_s", started, until)
-                    self.stats.failed_checkpoints += 1
-                    return
-                self._apply_op(op)
-            t = end
-            if completed or end >= until:  # pragma: no cover - defensive
-                return
-
-    def _nearest_snapshot(
-        self, snaps: List[Tuple[float, tuple]], until: float, inclusive: bool = False
-    ) -> Tuple[float, tuple]:
-        """The newest ``(virtual_time, snapshot)`` from which replaying
-        reaches the interrupt instant *until*.
-
-        Failure replay needs a snapshot strictly *before* the failure —
-        a failure delivered exactly at a planned wake instant preempts
-        the wake, so the op ending there must be replayed as partial,
-        from earlier state.  A snapshot whose timestamp *equals* the
-        failure instant was taken after applying that op, too late.
-        When no snapshot qualifies (the failure lands at the jump's
-        very start), the pre-jump snapshot replays an elapsed-zero
-        partial op, exactly the stepped path's interrupt-at-suspension
-        arithmetic.  Abort resume passes ``inclusive=True``: operations
-        ending at the abort instant completed on the stepped path
-        (wakes precede the mapping event that flips the gate), so
-        state exactly *at* the instant is usable.
-        """
-        best = snaps[0]
-        for ts, snap in snaps:
-            if ts < until or (inclusive and ts <= until):
-                best = (ts, snap)
-            else:
-                break
-        return best
-
     def _resume_after_abort(
-        self, snaps: List[Tuple[float, tuple]], total: float, base: float
+        self, start: float, total: float, base: float
     ) -> Generator:
         """Resume stepped-equivalently after the gate aborted a jump.
 
         The abort lands at the instant T a mapping event closed the
         gate.  On the stepped path nothing special happens at T: wake
         events at (T, wake-priority) ran *before* the mapping, so every
-        planned operation ending at or before T completed, and exactly
-        one timed operation is in flight across T.  This method rebuilds
-        that picture: restore the newest snapshot at or before T,
-        re-apply completed operations arithmetically, then finish the
-        in-flight operation with a real kernel sleep *to its original
-        planned end* (never re-deriving the remainder: ``(T - s) +
-        (e - T)`` need not equal ``e - s`` in floats, so the op is
-        applied with the planner's untouched values).  An in-flight
-        pool checkpoint re-acquires a real ticket at T — guaranteed
+        operation ending at or before T completed, and exactly one
+        timed operation is in flight across T.  Re-folding the restored
+        pre-jump state (taken at *start*) to just past T rebuilds that
+        picture.  The operation in flight then sleeps to its *planned*
+        end (never re-deriving the remainder: ``(T - s) + (e - T)``
+        need not equal ``e - s`` in floats).  An in-flight pool
+        checkpoint re-acquires a real ticket at T — guaranteed
         immediate because stepped-path holders plus mid-jump
         checkpointers never exceed the pre-flip user count, which the
-        open gate bounded by the slot count.  Failures during the
-        resume sleeps take exactly the stepped path's interrupt
-        branches.  Control then returns to the main loop, which
-        re-derives the remaining boundary structure from state under
-        the now-closed gate.
+        open gate bounded by the slot count.  The rest of the iteration
+        runs through the stepped code under the now-closed gate, and
+        failures during any of it take exactly the stepped path's
+        interrupt branches.
         """
-        until = self._sim.now
-        ts, snapshot = self._nearest_snapshot(snaps, until, inclusive=True)
-        self._restore_state(snapshot)
-        t = ts
-        while True:
-            ops, end, completed = self._plan_iteration(t, total, base)
-            for position, op in enumerate(ops):
-                kind = op[0]
-                if kind == "seg":
-                    _, field_name, started, seg_end, _duration, speed = op
-                    if seg_end <= until:
-                        self._apply_op(op)
-                        continue
-                    try:
-                        yield self._sim.timeout_at(seg_end)
-                    except Interrupt as interrupt:
-                        elapsed = self._sim.now - started
-                        self._advance(elapsed, speed)
-                        self._note_stat(field_name, started, self._sim.now)
-                        yield from self._on_failure(interrupt.cause)
-                        return
-                    self._apply_op(op)
-                    following = (
-                        ops[position + 1] if position + 1 < len(ops) else None
-                    )
-                    if following is not None and following[0] != "seg":
-                        # That was the iteration's last work segment, so
-                        # the position now sits exactly on the boundary —
-                        # where the main loop would derive the *next*
-                        # boundary and skip this one's checkpoint.  Take
-                        # it here, through the real stepped code: the
-                        # gate is closed now, so a pool level may
-                        # genuinely queue.
-                        ckpt_op = next(o for o in ops if o[0] == "ckpt")
-                        level = self._levels_by_index[ckpt_op[1]]
-                        yield from self._checkpoint(level)
-                    # Remaining mid-iteration segments (a recovery ->
-                    # work transition) re-derive exactly from state in
-                    # the main loop.
-                    return
-                if kind == "ckpt":
-                    _, level_index, started, seg_end = op
-                    if seg_end <= until:
-                        self._apply_op(op)
-                        continue
-                    level = self._levels_by_index[level_index]
-                    pool = (
-                        self._resources.get(level.shared_resource)
-                        if level.shared_resource is not None
-                        else None
-                    )
-                    ticket = pool.request() if pool is not None else None
-                    try:
-                        yield self._sim.timeout_at(seg_end)
-                    except Interrupt as interrupt:
-                        if ticket is not None:
-                            ticket.release()
-                        self._note_stat(
-                            "checkpoint_time_s", started, self._sim.now
-                        )
-                        self.stats.failed_checkpoints += 1
-                        yield from self._on_failure(interrupt.cause)
-                        return
-                    if ticket is not None:
-                        ticket.release()
-                    self._apply_op(op)
-                    # The commit/pending op right after the checkpoint
-                    # is synchronous at its end instant.
-                    self._apply_op(ops[position + 1])
-                    return
-                self._apply_op(op)
-            t = end
-            # An iteration ending exactly at T completed before the
-            # flip (its wake preceded the mapping event), so only
-            # ``completed`` exits: the next iteration re-plans from t
-            # and its first timed op crosses T as the in-flight one.
-            if completed:
-                return
+        cut = math.nextafter(self._sim.now, math.inf)
+        straddler = self._fold(start, total, base, cut=cut)[3]
+        activity, started, end, duration, speed, boundary = straddler
+        level = self.plan.boundary_level(boundary)
+        ticket = None
+        if activity == "checkpoint":
+            pool = self._resources.get(level.shared_resource)
+            if pool is not None:
+                ticket = pool.request()
+        try:
+            yield self._sim.timeout_at(end)
+        except Interrupt as interrupt:
+            if ticket is not None:
+                ticket.release()
+            self._cut_short(straddler)
+            yield from self._on_failure(interrupt.cause)
+            return
+        if activity == "checkpoint":
+            if ticket is not None:
+                ticket.release()
+            self._close_checkpoint(level, started, duration)
+            return
+        self._advance(duration, speed)
+        self._note(activity, started, end)
+        reached = yield from self._work_to(min(boundary * base, total))
+        if reached and self._done < total - self._EPS:
+            yield from self._checkpoint(level)
 
     def _checkpoint(self, level: CheckpointLevel) -> Generator:
         """Take a checkpoint at *level*; on failure the in-progress
@@ -1075,6 +899,15 @@ class ResilientExecution:
             return False
         if ticket is not None:
             ticket.release()
+        self._close_checkpoint(level, started, blocking)
+        return True
+
+    def _close_checkpoint(
+        self, level: CheckpointLevel, started: float, blocking: float
+    ) -> None:
+        """End a checkpoint whose blocking part ran from *started* to
+        now: commit it, or leave it pending until its full cost has
+        elapsed."""
         self._note("checkpoint", started, self._sim.now)
         if level.blocking_fraction >= 1.0:
             self._commit(level.index, self._done)
@@ -1085,7 +918,6 @@ class ResilientExecution:
                 self._done,
                 self._sim.now + remainder,
             )
-        return True
 
     def _commit(self, level_index: int, work: float) -> None:
         self._saved[level_index] = work

@@ -466,12 +466,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except ValidationError as exc:
             self._send_json(400, {"error": str(exc)})
             return
+        # Read the cursor before the record: a transition landing
+        # between the two reads then streams after the stale snapshot
+        # instead of being skipped.
+        last_seq = resume if resume is not None else ring.last_seq
         try:
             record = service.store.get(job_id)
         except UnknownJob:
             self._send_json(404, {"error": f"no job {job_id!r}"})
             return
-        last_seq = resume if resume is not None else ring.last_seq
         heartbeat_s = service.config.sse_heartbeat_s
         hub.watch(job_id)
         try:

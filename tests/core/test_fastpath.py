@@ -176,7 +176,9 @@ class TestEventCountReduction:
         assert slow_sim.event_count >= 5 * fast_sim.event_count
 
 
-def _toy_plan(time_steps=10, levels=None, recovery_speedup=1.0):
+def _toy_plan(
+    time_steps=10, levels=None, recovery_speedup=1.0, blocking_fraction=1.0
+):
     app = make_application("A32", nodes=4, time_steps=time_steps)
     if levels is None:
         levels = (
@@ -186,6 +188,7 @@ def _toy_plan(time_steps=10, levels=None, recovery_speedup=1.0):
                 cost_s=10.0,
                 restart_s=20.0,
                 period_s=100.0,
+                blocking_fraction=blocking_fraction,
             ),
         )
     return ExecutionPlan(
@@ -214,6 +217,58 @@ def _deterministic_run(sim, plan, failures, *, horizon=None):
         )
     sim.run(until=1e9)
     return engine
+
+
+def _two_levels(blocking_fraction):
+    """A 10 s level every 100 s under a 120 s level every 200 s.  At
+    blocking 0.25 the upper level's 90 s background write outlasts a
+    rework iteration at recovery speedup 2, so the next checkpoint
+    voids it instead of committing it."""
+    return tuple(
+        CheckpointLevel(
+            index=index,
+            recovers_severity=severity,
+            cost_s=cost,
+            restart_s=restart,
+            period_s=period,
+            blocking_fraction=blocking_fraction,
+        )
+        for index, severity, cost, restart, period in (
+            (1, 1, 10.0, 20.0, 100.0),
+            (2, 3, 120.0, 60.0, 200.0),
+        )
+    )
+
+
+#: (blocking fraction, recovery speedup, level count) variants of the
+#: toy plan: semi-blocking levels drive the pending-commit settle and
+#: void branches of jumps and replays, speedup 2 shortens rework
+#: segments, and two levels mix boundary levels inside one jump.
+VARIANTS = [
+    pytest.param(blocking, speedup, levels, id=f"b{blocking}-x{speedup}-{levels}lvl")
+    for blocking in (0.25, 1.0)
+    for speedup in (1.0, 2.0)
+    for levels in (1, 2)
+]
+
+
+def _variant_plan(blocking, speedup, levels, time_steps=10):
+    return _toy_plan(
+        time_steps,
+        _two_levels(blocking) if levels == 2 else None,
+        speedup,
+        blocking,
+    )
+
+
+def _stepped_spans(plan):
+    """``(start, end, activity)`` spans of a failure-free stepped run;
+    every span end is a kernel wake instant a failure can tie with."""
+    sim = Simulator()
+    engine = ResilientExecution(sim, plan, record_timeline=True, until=1e9)
+    sim.process(engine.run(), name="app")
+    sim.run(until=1e9)
+    return engine.timeline
 
 
 class TestReplayOnInterrupt:
@@ -274,6 +329,43 @@ class TestReplayOnInterrupt:
         )
         assert fast.stats.rework_time_s > 0
         _assert_same_stats(stepped.stats, fast.stats)
+
+    @pytest.mark.parametrize("blocking,speedup,levels", VARIANTS)
+    def test_variant_failure_at_wake_instants_and_midpoints(
+        self, blocking, speedup, levels, monkeypatch
+    ):
+        monkeypatch.setattr(execution, "FAST_PATH_ENABLED", True)
+        plan = _variant_plan(blocking, speedup, levels)
+        for start, end, _activity in _stepped_spans(plan)[:8]:
+            for fail_at in (end, (start + end) / 2):
+                for severity in (1, 3):
+                    failures = [(fail_at, severity)]
+                    stepped = _deterministic_run(Simulator(), plan, failures)
+                    fast = _deterministic_run(
+                        Simulator(), plan, failures, horizon=self.LIAR
+                    )
+                    assert fast.fast_jumps > 0
+                    _assert_same_stats(stepped.stats, fast.stats)
+
+    @pytest.mark.parametrize("blocking,speedup,levels", VARIANTS)
+    def test_variant_failures_during_recovery(
+        self, blocking, speedup, levels, monkeypatch
+    ):
+        monkeypatch.setattr(execution, "FAST_PATH_ENABLED", True)
+        plan = _variant_plan(blocking, speedup, levels, time_steps=20)
+        schedules = (
+            [(150.0, 1), (175.0, 1)],
+            [(90.0, 1), (130.0, 1), (220.0, 2), (500.0, 1)],
+            [(450.0, 3), (520.0, 1), (560.0, 1), (700.0, 2)],
+        )
+        for failures in schedules:
+            stepped = _deterministic_run(Simulator(), plan, failures)
+            fast = _deterministic_run(
+                Simulator(), plan, failures, horizon=self.LIAR
+            )
+            assert fast.stats.failures == len(failures)
+            assert fast.stats.rework_time_s > 0
+            _assert_same_stats(stepped.stats, fast.stats)
 
 
 class TestFallbacks:

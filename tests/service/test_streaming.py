@@ -190,6 +190,34 @@ class TestJobStream:
         assert [f["event"] for f in frames] == ["snapshot", "end"]
         assert frames[1]["data"]["state"] == "done"
 
+    def test_transition_during_attach_streams_after_the_snapshot(
+        self, paused_service, paused_client, monkeypatch
+    ):
+        # The job fails right after the stream reads its record, before
+        # the stream starts following the feed: the failure must still
+        # stream after the stale snapshot, not wait out a heartbeat.
+        store = paused_service.store
+        job_id = store.submit(FIG1)
+        read = store.get
+
+        def read_then_fail(requested):
+            record = read(requested)
+            if requested == job_id and record.state == "queued":
+                store.claim_batch("racer", 60.0, 1)
+                store.fail(job_id, "racer", "boom")
+            return record
+
+        monkeypatch.setattr(store, "get", read_then_fail)
+        started = time.monotonic()
+        frames = list(paused_client.iter_events(job_id=job_id))
+        elapsed = time.monotonic() - started
+        assert frames[0]["event"] == "snapshot"
+        assert frames[0]["data"]["state"] == "queued"
+        assert frame_kinds(frames) == ["job.claimed", "job.failed"]
+        assert frames[-1]["event"] == "end"
+        assert frames[-1]["data"]["kind"] == "job.failed"
+        assert elapsed < paused_service.config.sse_heartbeat_s
+
     def test_watched_job_streams_live_simulation_events(self, client):
         # Pin the single worker with a blocker so the dependent target
         # is still pending when its stream (and therefore its watch)
@@ -360,13 +388,30 @@ class TestWatchCommand:
         assert "job.done" in out
         assert "end" in out
 
-    def test_watch_exits_1_when_the_job_fails(self, service, capsys):
+    def test_watch_exits_1_when_the_job_fails(self, paused_service, capsys):
         from repro.cli import main
 
-        # Bypass submit validation: an unknown experiment fails at
-        # execution time, which is exactly a failing job.
-        job_id = service.store.submit({"experiment": "not-a-thing"})
-        assert main(["watch", job_id, "--url", service.url]) == 1
+        # Fail the job only once the watch is attached: a job that is
+        # already terminal streams just its snapshot and ``end``.
+        service = paused_service
+        job_id = service.store.submit(FIG1)
+        codes = []
+        watcher = threading.Thread(
+            target=lambda: codes.append(
+                main(["watch", job_id, "--url", service.url])
+            )
+        )
+        watcher.start()
+        deadline = time.monotonic() + 30
+        while not service.hub.is_watched(job_id):
+            assert time.monotonic() < deadline, "watch never attached"
+            time.sleep(0.01)
+        [claimed] = service.store.claim_batch("test-worker", 60.0, 1)
+        assert claimed.id == job_id
+        assert service.store.fail(job_id, "test-worker", "boom")
+        watcher.join(timeout=30)
+        assert not watcher.is_alive()
+        assert codes == [1]
         assert "job.failed" in capsys.readouterr().out
 
     def test_watch_unknown_target_exits_2(self, service, capsys):
