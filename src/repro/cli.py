@@ -1383,10 +1383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.no_fast_path:
-        from repro.core import execution
+    from repro.core import execution
 
+    args = build_parser().parse_args(argv)
+    fast_path = execution.FAST_PATH_ENABLED
+    if args.no_fast_path:
         # Covers this process and the parallel executor's workers,
         # which are forked from it.
         execution.FAST_PATH_ENABLED = False
@@ -1436,6 +1437,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro: error: {exc}", file=sys.stderr)
             return 2
         raise
+    finally:
+        # In-process callers (tests, scripts) keep their own setting.
+        execution.FAST_PATH_ENABLED = fast_path
 
 
 if __name__ == "__main__":  # pragma: no cover

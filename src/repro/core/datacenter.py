@@ -42,7 +42,7 @@ from repro.failures.generator import Failure
 from repro.failures.injector import FailureInjector
 from repro.failures.severity import SeverityModel
 from repro.obs import live
-from repro.obs.counters import counter_value, global_bus
+from repro.obs.counters import counter_value, increment
 from repro.obs.events import (
     JobArrived,
     JobCompleted,
@@ -581,11 +581,10 @@ class DatacenterSimulator:
 def simulation_call_count() -> int:
     """Number of datacenter simulations run on this process's behalf.
 
-    Derived from the process-global instrumentation counters (each
-    :func:`run_datacenter` publishes a
-    :class:`~repro.obs.events.TrialStarted`); worker-side counts are
-    merged back by the parallel executor, so the cache tests can assert
-    a warm rerun performs zero simulations."""
+    Read from the process's counter registry (each
+    :func:`run_datacenter` counts one); worker-side counts are merged
+    back by the parallel executor, so the cache tests can assert a warm
+    rerun performs zero simulations."""
     return counter_value("datacenter.simulations")
 
 
@@ -619,14 +618,14 @@ def run_datacenter(
     started = TrialStarted(
         time=0.0, scope="datacenter", trial=pattern.index
     )
-    global_bus().publish(started)
+    increment("datacenter.simulations")
     simulator.sim.bus.publish(started)
     result = simulator.run()
     finished = TrialFinished(
         time=result.end_time, scope="datacenter", trial=pattern.index
     )
     simulator.sim.bus.publish(finished)
-    global_bus().publish(finished)
+    increment("datacenter.completed")
     return result
 
 

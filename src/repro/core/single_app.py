@@ -20,7 +20,7 @@ from repro.failures.burst import BurstModel
 from repro.failures.generator import AppFailureGenerator, InterarrivalModel
 from repro.failures.severity import SeverityModel
 from repro.obs import live
-from repro.obs.counters import counter_value, global_bus
+from repro.obs.counters import counter_value, increment
 from repro.obs.events import TrialFinished, TrialStarted
 from repro.obs.sinks import Sink
 from repro.platform.system import HPCSystem
@@ -95,9 +95,8 @@ class SingleAppConfig:
 def simulation_call_count() -> int:
     """Number of single-app simulations run on this process's behalf.
 
-    Derived from the process-global instrumentation counters (each
-    :func:`simulate_application` publishes a
-    :class:`~repro.obs.events.TrialStarted`); the parallel executor
+    Read from the process's counter registry (each
+    :func:`simulate_application` counts one); the parallel executor
     merges worker-side counts back, so a warm-cache rerun provably
     performs zero simulation work even across worker processes."""
     return counter_value("single_app.simulations")
@@ -210,7 +209,7 @@ def simulate_application(
         technique=technique.name,
         trial=trial,
     )
-    global_bus().publish(started)
+    increment("single_app.simulations")
     sim.bus.publish(started)
     cap = config.max_time_factor * plan.effective_work_s
     engine = ResilientExecution(sim, plan, until=cap)
@@ -238,7 +237,7 @@ def simulate_application(
         completed=engine.stats.completed,
     )
     sim.bus.publish(finished)
-    global_bus().publish(finished)
+    increment("single_app.completed")
     return engine.stats
 
 

@@ -329,6 +329,26 @@ class ExecutorMetrics:
     #: Per-cell compute wall times (cache hits excluded).
     cell_wall_s: List[float] = field(default_factory=list)
 
+    #: Fields that cross process boundaries as ``executor.<name>``
+    #: registry counters; the wall time travels as ``executor.wall_us``.
+    _COUNTED = ("cells_done", "cache_hits", "cells_computed", "trials_done")
+
+    def count(self) -> None:
+        """Add these totals to the process's counter registry as
+        integer ``executor.*`` counters."""
+        for name in self._COUNTED:
+            obs_counters.increment(f"executor.{name}", getattr(self, name))
+        obs_counters.increment("executor.wall_us", round(self.wall_s * 1e6))
+
+    @classmethod
+    def from_counters(cls, counters: Dict[str, int]) -> "ExecutorMetrics":
+        """The executor totals a counter snapshot holds (see
+        :meth:`count`)."""
+        return cls(
+            wall_s=counters.get("executor.wall_us", 0) / 1e6,
+            **{name: counters.get(f"executor.{name}", 0) for name in cls._COUNTED},
+        )
+
     @property
     def hit_rate(self) -> float:
         """Fraction of completed cells served from the cache."""
@@ -432,16 +452,15 @@ _WORKER_TASKS: Optional[Sequence[CellTask]] = None
 
 
 def _run_worker_task(index: int) -> Tuple[int, Any, float, Dict[str, int]]:
-    """Run one cell in a worker; returns the result plus the worker's
-    instrumentation-counter increments for the cell, which the parent
-    folds back in (fork-safety by explicit merging — the processes
-    share no counter memory)."""
+    """Run one cell in a worker; returns the result plus the cell's
+    counter scope, which the parent merges (the processes share no
+    counter memory)."""
     assert _WORKER_TASKS is not None
-    before = obs_counters.snapshot()
-    started = time.perf_counter()
-    value = _WORKER_TASKS[index].fn()
-    wall = time.perf_counter() - started
-    return index, value, wall, obs_counters.delta_since(before)
+    with obs_counters.scope() as delta:
+        started = time.perf_counter()
+        value = _WORKER_TASKS[index].fn()
+        wall = time.perf_counter() - started
+    return index, value, wall, delta
 
 
 def _fork_context():

@@ -13,12 +13,7 @@ and how to write a custom sink.
 """
 
 from repro.obs.bus import EventBus
-from repro.obs.counters import (
-    GLOBAL_BUS,
-    SimulationCounters,
-    counter_value,
-    global_bus,
-)
+from repro.obs.counters import counter_value
 from repro.obs.events import (
     ALL_EVENT_TYPES,
     ActivitySpan,
@@ -60,7 +55,6 @@ __all__ = [
     "ExecutionCompleted",
     "ExecutionStarted",
     "FailureInjected",
-    "GLOBAL_BUS",
     "JobArrived",
     "JobCompleted",
     "JobDropped",
@@ -72,7 +66,6 @@ __all__ = [
     "RecoveryCompleted",
     "ReplicaAbsorbed",
     "RestartStarted",
-    "SimulationCounters",
     "Sink",
     "TimelineSink",
     "TraceSink",
@@ -81,5 +74,4 @@ __all__ = [
     "counter_value",
     "event_record",
     "event_to_jsonl",
-    "global_bus",
 ]

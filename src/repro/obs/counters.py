@@ -1,100 +1,88 @@
-"""Process-global simulation counters, fed by the instrumentation bus.
+"""The process-wide counter registry.
 
-Replaces the fork-unsafe ``_SIM_CALLS`` module globals that
-``core/single_app.py`` and ``core/datacenter.py`` used to keep: the
-entry points publish :class:`repro.obs.events.TrialStarted` /
-:class:`~repro.obs.events.TrialFinished` on the process-global bus and
-a :class:`SimulationCounters` sink counts them per scope.
+Every process-wide number lives here: a lock-protected dict of process
+totals plus, per thread, a stack of open scopes.  :func:`increment`
+adds to the totals and to every scope open on the calling thread, so a
+job run inside ``with scope() as delta:`` collects exactly its own
+increments, whatever other threads count meanwhile.
 
-Fork-safety comes from explicit merging rather than shared memory: the
-parallel executor snapshots the counters around each worker cell
-(:func:`snapshot` / :func:`delta_since`) and folds the per-cell deltas
-back into the parent with :func:`merge` — so after a parallel study the
-parent's counters reflect every simulation run on its behalf, and a
-warm-cache rerun provably performs zero simulation calls.
+Process boundaries ship a scope and the receiving side :func:`merge`\\ s
+it: the parallel executor's forked worker returns its cell's scope,
+and a worker agent pushes its job's scope with the completion.  After
+a parallel study the parent's totals therefore reflect every
+simulation run on its behalf (a warm-cache rerun provably performs
+zero simulation calls), and fleet totals are exact even with several
+jobs running at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import os
+import threading
+from contextlib import contextmanager
+from typing import Dict, Iterator, Tuple
 
-from repro.obs.bus import EventBus
-from repro.obs.events import TrialFinished, TrialStarted
-
-
-class SimulationCounters:
-    """Counts simulations started/finished per scope."""
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-
-    def attach(self, bus: EventBus) -> None:
-        """Count trial start/finish events published on *bus*."""
-        bus.subscribe(TrialStarted, self._on_started)
-        bus.subscribe(TrialFinished, self._on_finished)
-
-    def _on_started(self, event: TrialStarted) -> None:
-        key = f"{event.scope}.simulations"
-        self.counts[key] = self.counts.get(key, 0) + 1
-
-    def _on_finished(self, event: TrialFinished) -> None:
-        key = f"{event.scope}.completed"
-        self.counts[key] = self.counts.get(key, 0) + 1
-
-    def value(self, key: str) -> int:
-        """Current count for *key* (0 when never incremented)."""
-        return self.counts.get(key, 0)
+_TOTALS: Dict[str, int] = {}
+_LOCK = threading.Lock()
 
 
-#: The process-global bus.  Simulation entry points publish trial
-#: markers here; anything process-wide (counters, live progress UIs)
-#: subscribes here.  Per-simulation domain events go to the simulator's
-#: own bus instead.
-GLOBAL_BUS = EventBus()
+class _Scopes(threading.local):
+    """The calling thread's open scopes, innermost last."""
 
-#: The always-on counter sink (reading counters must not require any
-#: setup — ``simulation_call_count`` has to work out of the box).
-COUNTERS = SimulationCounters()
-COUNTERS.attach(GLOBAL_BUS)
+    stack: Tuple[Dict[str, int], ...] = ()
 
 
-def global_bus() -> EventBus:
-    """The process-global instrumentation bus."""
-    return GLOBAL_BUS
+_SCOPES = _Scopes()
 
 
-def counter_value(key: str) -> int:
-    """Current process-global count for *key*."""
-    return COUNTERS.value(key)
+def _new_lock() -> None:
+    # The executor forks from an agent thread while HTTP or executor
+    # threads may hold the lock; none of them exists in the child, so
+    # the child starts with a fresh one.
+    global _LOCK
+    _LOCK = threading.Lock()
 
 
-def snapshot() -> Dict[str, int]:
-    """Copy of all counters (pair with :func:`delta_since`)."""
-    return dict(COUNTERS.counts)
-
-
-def delta_since(before: Dict[str, int]) -> Dict[str, int]:
-    """Counter increments since *before* (a :func:`snapshot`)."""
-    return {
-        key: value - before.get(key, 0)
-        for key, value in COUNTERS.counts.items()
-        if value - before.get(key, 0)
-    }
-
-
-def merge(delta: Dict[str, int]) -> None:
-    """Fold worker-side counter increments into this process."""
-    for key, value in delta.items():
-        COUNTERS.counts[key] = COUNTERS.counts.get(key, 0) + value
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lock)
 
 
 def increment(key: str, n: int = 1) -> None:
-    """Bump a named process-global counter by *n*.
+    """Add *n* to *key* in the process totals and in every scope open
+    on the calling thread."""
+    with _LOCK:
+        _TOTALS[key] = _TOTALS.get(key, 0) + n
+    for delta in _SCOPES.stack:
+        delta[key] = delta.get(key, 0) + n
 
-    Layers without a domain event of their own (e.g. the job service's
-    accepted/completed/failed tallies) count through here so every
-    process-wide number lives in the one counter store that
-    :func:`snapshot`, :func:`delta_since`, and :func:`merge` already
-    make fork-safe.
-    """
-    COUNTERS.counts[key] = COUNTERS.counts.get(key, 0) + n
+
+def merge(delta: Dict[str, int]) -> None:
+    """Fold increments counted in another process (a shipped scope)
+    in, as if the calling thread had counted them."""
+    for key, n in delta.items():
+        increment(key, n)
+
+
+@contextmanager
+def scope() -> Iterator[Dict[str, int]]:
+    """Collect the increments the calling thread makes while the
+    context is open; nested scopes each see them."""
+    delta: Dict[str, int] = {}
+    outer = _SCOPES.stack
+    _SCOPES.stack = outer + (delta,)
+    try:
+        yield delta
+    finally:
+        _SCOPES.stack = outer
+
+
+def snapshot() -> Dict[str, int]:
+    """Copy of the process totals."""
+    with _LOCK:
+        return dict(_TOTALS)
+
+
+def counter_value(key: str) -> int:
+    """Current process total for *key* (0 when never incremented)."""
+    with _LOCK:
+        return _TOTALS.get(key, 0)

@@ -219,9 +219,9 @@ class JobCompleted(DomainEvent):
 class TrialStarted(DomainEvent):
     """One simulation began (``scope``: ``single_app``/``datacenter``).
 
-    Published on the process-global bus (where counters subscribe —
-    the parallel executor merges worker counts back per cell) and on
-    the simulation's own bus so export sinks see trial boundaries.
+    Published on the simulation's own bus so export sinks see trial
+    boundaries (the entry points count trials in
+    :mod:`repro.obs.counters` separately).
     ``time`` is always 0.0: trials start at simulated time zero and
     wall times would break stream determinism.
     """

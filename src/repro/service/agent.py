@@ -82,8 +82,7 @@ class JobSource(abc.ABC):
     ) -> Tuple[bool, str]:
         """Push a success; returns ``(accepted, final_state)``.
 
-        *counters* optionally carries the job's instrumentation-counter
-        increments (the ``grid.*`` accounting deltas) for sources whose
+        *counters* is the job's counter scope, for sources whose
         control plane lives in another process."""
 
     @abc.abstractmethod
@@ -145,7 +144,7 @@ class LocalJobSource(JobSource):
         """Store the result (lease-holder-only) and report the state.
 
         *counters* is ignored: the job ran in this process, so its
-        increments already landed on the process-global counters."""
+        increments already landed in this process's registry."""
         accepted = self.store.complete(job_id, worker, result)
         return accepted, self._final_state(job_id)
 
@@ -241,7 +240,7 @@ class RemoteJobSource(JobSource):
     ) -> Tuple[bool, str]:
         """Push a success; idempotent server-side.  Any *counters*
         ride the completion item so the control plane can fold the
-        job's grid accounting into its fleet-wide totals."""
+        job's scope into its fleet-wide totals."""
         self._forget_watch(job_id)
         item: Dict[str, Any] = {"id": job_id, "ok": True, "result": result}
         if counters:
@@ -324,7 +323,6 @@ class WorkerAgent:
         lease_s: float = 60.0,
         poll_interval_s: float = 0.05,
         heartbeat_interval_s: Optional[float] = None,
-        metrics: Optional[ExecutorMetrics] = None,
         cache: Optional[ResultCache] = None,
         identity: Optional[str] = None,
         telemetry: Optional[Any] = None,
@@ -341,7 +339,6 @@ class WorkerAgent:
         self.lease_s = lease_s
         self.poll_interval_s = poll_interval_s
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.metrics = metrics if metrics is not None else ExecutorMetrics()
         self.cache = cache
         #: The lease-holder name every claim/renew/complete uses.  One
         #: identity per agent *instance*: a resurrected agent gets a
@@ -561,25 +558,19 @@ class WorkerAgent:
                 if self.telemetry is not None
                 else None
             )
-            before = obs_counters.snapshot()
-            with live.activated(sink):
-                outcome = spec.execute(
-                    metrics=self.metrics, cache_dir=cache_dir
-                )
-            # Grid cost/carbon accounting increments locally during
-            # execute(); a remote control plane only learns about them
-            # through the completion push.
-            grid_delta = {
-                key: n
-                for key, n in obs_counters.delta_since(before).items()
-                if key.startswith("grid.")
-            }
+            # The job's scope sees only this thread's increments, so a
+            # remote control plane learns exactly this job's numbers
+            # from the completion push.
+            metrics = ExecutorMetrics()
+            with obs_counters.scope() as counters, live.activated(sink):
+                outcome = spec.execute(metrics=metrics, cache_dir=cache_dir)
+                metrics.count()
         except ValidationError as exc:
             self._push_failure(record.id, f"invalid job spec: {exc}")
         except Exception:
             self._push_failure(record.id, traceback.format_exc(limit=20))
         else:
-            self._push_result(record.id, outcome.text, counters=grid_delta)
+            self._push_result(record.id, outcome.text, counters=counters)
         finally:
             with self._inflight_lock:
                 self._inflight.pop(record.id, None)

@@ -48,6 +48,11 @@ from repro.service.store import (
 from repro.service.worker import WorkerPool
 from repro.telemetry import TelemetryHub, TelemetryStore
 
+#: Counter namespaces a completion push may add to.  The control plane
+#: keeps ``service.*`` and ``agent.*`` itself, so no agent can inflate
+#: them.
+PUSHED_COUNTER_NAMESPACES = ("grid.", "executor.", "single_app.", "datacenter.")
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -94,7 +99,6 @@ class ReproService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        self.metrics = ExecutorMetrics()
         self.hub = TelemetryHub(capacity=self.config.telemetry_ring)
         # The telemetry decorator wraps the store *before* anything
         # else sees it, so both the in-process pool and the fleet API
@@ -118,7 +122,6 @@ class ReproService:
             workers=self.config.workers,
             lease_s=self.config.lease_s,
             poll_interval_s=self.config.poll_interval_s,
-            metrics=self.metrics,
             cache=self.cache,
             prune_max_bytes=prune_max_bytes,
             prune_interval_s=self.config.cache_prune_interval_s,
@@ -650,14 +653,10 @@ class ReproService:
                 else:
                     obs_counters.increment("service.jobs_completed")
                 if item.ok and item.counters:
-                    # Fold the remote worker's grid cost/carbon deltas
-                    # into the fleet-wide totals.  Only the grid.*
-                    # namespace is accepted — an agent cannot inflate
-                    # arbitrary service counters — and only on the
-                    # first accepted push (idempotence comes free from
-                    # the lease-holder-only completion above).
+                    # Fold the agent's job scope into the fleet totals,
+                    # once: only the first push is accepted above.
                     for key, n in item.counters.items():
-                        if key.startswith("grid."):
+                        if key.startswith(PUSHED_COUNTER_NAMESPACES):
                             obs_counters.increment(key, n)
             results.append(
                 {"id": item.job_id, "accepted": accepted, "state": state}
@@ -697,10 +696,13 @@ class ReproService:
         }
 
     def metrics_payload(self) -> Dict[str, Any]:
-        """``GET /v1/metrics`` body: queue depth, job counts, cache
-        hit rate, and the full :mod:`repro.obs` counter snapshot."""
+        """``GET /v1/metrics`` body: queue depth, job counts, and the
+        counter registry, both as the cache/executor/grid views (which
+        count in-process workers and remote agents alike) and as the
+        full snapshot."""
         counts = self.store.counts()
         counters = obs_counters.snapshot()
+        fleet = ExecutorMetrics.from_counters(counters)
         uptime = (
             time.monotonic() - self._started_monotonic
             if self._started_monotonic is not None
@@ -720,15 +722,15 @@ class ReproService:
                 "cancelled": counters.get("service.jobs_cancelled", 0),
             },
             "cache": {
-                "hits": self.metrics.cache_hits,
-                "computed": self.metrics.cells_computed,
-                "hit_rate": self.metrics.hit_rate,
+                "hits": fleet.cache_hits,
+                "computed": fleet.cells_computed,
+                "hit_rate": fleet.hit_rate,
             },
             "executor": {
-                "cells_done": self.metrics.cells_done,
-                "trials_done": self.metrics.trials_done,
-                "trials_per_sec": self.metrics.trials_per_sec,
-                "wall_s": self.metrics.wall_s,
+                "cells_done": fleet.cells_done,
+                "trials_done": fleet.trials_done,
+                "trials_per_sec": fleet.trials_per_sec,
+                "wall_s": fleet.wall_s,
             },
             "grid": {
                 # Fleet-wide cumulative grid accounting, folded from

@@ -71,12 +71,12 @@ class JobSpec:
     ) -> StudyOutcome:
         """Run this job through the shared experiment entrypoint.
 
-        *metrics* (usually the service-wide sink) accumulates executor
-        counters across jobs; *cache_dir* overrides the result-cache
-        location (the service forwards its configured directory).
-        Execution is a pure function of the spec, so the rendered text
-        is byte-identical to the direct CLI invocation of the same
-        request.
+        *metrics* accumulates this job's executor counters (the agent
+        passes a fresh one per job); *cache_dir* overrides the
+        result-cache location (the service forwards its configured
+        directory).  Execution is a pure function of the spec, so the
+        rendered text is byte-identical to the direct CLI invocation of
+        the same request.
         """
         options = ExecutorOptions(
             jobs=self.jobs,

@@ -159,9 +159,8 @@ class CompletionItem:
     """One job outcome in a ``POST /v1/jobs/complete`` batch: a result
     body on success, an error line on failure.
 
-    ``counters`` optionally carries the worker's instrumentation-counter
-    increments for the job (today the ``grid.*`` cost/carbon accounting
-    deltas), so fleet-wide cumulative telemetry survives the process
+    ``counters`` optionally carries the job's counter scope (see
+    :mod:`repro.obs.counters`), so fleet-wide totals survive the process
     boundary between a remote agent and the control plane.
     """
 

@@ -3,9 +3,9 @@
 The service's control plane owns a durable queue of jobs moving
 through ``queued -> running -> done/failed/cancelled``.  This module
 defines the *contract* of that queue — :class:`JobStore`, an abstract
-base class — plus the plain-data records, the store exceptions, and a
-URL-based factory so backends can be swapped without touching the
-service (``--store sqlite://results/service.db``).
+base class — plus the plain-data records, the store exceptions, and
+the URL factory the service builds its store with (``--store
+sqlite://results/service.db``).
 
 The contract every backend must honour (the SQLite reference
 implementation lives in :mod:`repro.service.store_sqlite`):
@@ -305,10 +305,6 @@ class JobStore(abc.ABC):
         pushes a job toward its attempts bound."""
 
     @abc.abstractmethod
-    def reassign(self, job_id: str, old_worker: str, new_worker: str) -> bool:
-        """Transfer a running job's lease between worker names."""
-
-    @abc.abstractmethod
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel a job: queued jobs flip to ``cancelled`` immediately,
         running jobs get ``cancel_requested`` set (the worker honours
@@ -350,23 +346,6 @@ class JobStore(abc.ABC):
 # Backend factory
 # ---------------------------------------------------------------------------
 
-#: Registered backend constructors, keyed by URL scheme.
-_BACKENDS: Dict[str, Callable[..., JobStore]] = {}
-
-
-def register_store_backend(
-    scheme: str, factory: Callable[..., JobStore]
-) -> None:
-    """Register *factory* for ``{scheme}://...`` store URLs.  The
-    factory receives the URL remainder (the path) plus the keyword
-    arguments of :func:`create_store`."""
-    _BACKENDS[scheme] = factory
-
-
-def store_backends() -> List[str]:
-    """The registered backend schemes (for error messages and docs)."""
-    return sorted(_BACKENDS)
-
 
 def create_store(
     url: str,
@@ -381,34 +360,22 @@ def create_store(
     that database path (``sqlite://:memory:`` for an ephemeral store).
     A bare path with no scheme is accepted as SQLite for backwards
     compatibility with ``--db``.  This factory is the only place
-    backends are constructed.
+    stores are constructed.
     """
-    url = str(url)
-    if "://" in url:
-        scheme, _, rest = url.partition("://")
-    else:
-        scheme, rest = "sqlite", url
-    try:
-        factory = _BACKENDS[scheme]
-    except KeyError:
-        raise ValueError(
-            f"unknown store backend {scheme!r} in {url!r} "
-            f"(registered: {', '.join(store_backends())})"
-        ) from None
-    kwargs: Dict[str, Any] = {
-        "queue_limit": queue_limit,
-        "max_attempts": max_attempts,
-    }
-    if clock is not None:
-        kwargs["clock"] = clock
-    return factory(rest, **kwargs)
-
-
-def _sqlite_factory(path: str, **kwargs: Any) -> JobStore:
-    """Lazy-import constructor for the reference SQLite backend."""
     from repro.service.store_sqlite import SQLiteJobStore
 
-    return SQLiteJobStore(path or ":memory:", **kwargs)
-
-
-register_store_backend("sqlite", _sqlite_factory)
+    url = str(url)
+    scheme, sep, path = url.partition("://")
+    if not sep:
+        scheme, path = "sqlite", url
+    if scheme != "sqlite":
+        raise ValueError(
+            f"unknown store backend {scheme!r} in {url!r} (supported: sqlite)"
+        )
+    kwargs: Dict[str, Any] = {} if clock is None else {"clock": clock}
+    return SQLiteJobStore(
+        path or ":memory:",
+        queue_limit=queue_limit,
+        max_attempts=max_attempts,
+        **kwargs,
+    )

@@ -461,8 +461,8 @@ class SQLiteJobStore(JobStore):
         """Record a successful result from *worker*.
 
         Only the current lease holder may complete a job (a worker
-        whose lease was reassigned after a stall must not clobber the
-        re-run's result).  A completion racing a cancellation request
+        whose lease expired and went to another worker after a stall
+        must not clobber the re-run's result).  A completion racing a cancellation request
         lands as ``cancelled`` with the result attached.  Blocked
         dependents whose last parent this was are released (or
         cascaded) in the same transaction.  Returns True when this
@@ -536,18 +536,6 @@ class SQLiteJobStore(JobStore):
                 " lease_expires_at = NULL, attempts = MAX(attempts - 1, 0)"
                 " WHERE id = ? AND state = ? AND worker = ?",
                 (JobState.QUEUED, job_id, JobState.RUNNING, worker),
-            )
-        return cursor.rowcount == 1
-
-    def reassign(self, job_id: str, old_worker: str, new_worker: str) -> bool:
-        """Transfer a running job's lease between worker names (an
-        agent that claims under one identity can hand the lease to the
-        thread doing the work, so completion authority follows it)."""
-        with self._lock:
-            cursor = self._conn.execute(
-                "UPDATE jobs SET worker = ?"
-                " WHERE id = ? AND state = ? AND worker = ?",
-                (new_worker, job_id, JobState.RUNNING, old_worker),
             )
         return cursor.rowcount == 1
 

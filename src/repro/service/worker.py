@@ -20,7 +20,7 @@ import time
 import uuid
 from typing import Any, Callable, Optional
 
-from repro.experiments.parallel import ExecutorMetrics, ResultCache
+from repro.experiments.parallel import ResultCache
 from repro.obs import counters as obs_counters
 from repro.service.agent import LocalJobSource, WorkerAgent
 from repro.service.store import JobStore
@@ -42,7 +42,6 @@ class WorkerPool(WorkerAgent):
         workers: int = 1,
         lease_s: float = 60.0,
         poll_interval_s: float = 0.05,
-        metrics: Optional[ExecutorMetrics] = None,
         cache: Optional[ResultCache] = None,
         prune_max_bytes: Optional[int] = None,
         prune_interval_s: float = 300.0,
@@ -60,7 +59,6 @@ class WorkerPool(WorkerAgent):
             batch_size=max(workers, 1),
             lease_s=lease_s,
             poll_interval_s=poll_interval_s,
-            metrics=metrics,
             cache=cache,
             identity=f"local-{uuid.uuid4().hex[:8]}",
             telemetry=telemetry,

@@ -177,12 +177,10 @@ class TestGridTraces:
 class TestCounters:
     def test_grid_counters_accumulate_even_on_cache_hits(self):
         spec = tiny_grid()
-        before = obs_counters.snapshot()
-        run_text(spec, "csv", cache=True)
-        first = obs_counters.delta_since(before)
-        mid = obs_counters.snapshot()
-        run_text(spec, "csv", cache=True)  # warm: every cell a cache hit
-        second = obs_counters.delta_since(mid)
+        with obs_counters.scope() as first:
+            run_text(spec, "csv", cache=True)
+        with obs_counters.scope() as second:
+            run_text(spec, "csv", cache=True)  # warm: every cell a cache hit
         for key in (
             "grid.cost_microusd",
             "grid.carbon_mg",

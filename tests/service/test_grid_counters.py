@@ -128,7 +128,8 @@ class TestControlPlaneMerge:
                 }
             ],
         )
-        delta = obs_counters.delta_since(before)
+        after = obs_counters.snapshot()
+        delta = {key: n - before.get(key, 0) for key, n in after.items()}
         assert delta.get("grid.cells_accounted", 0) == 1
         # Agents cannot inflate non-grid observability counters.
         assert delta.get("sim.events", 0) == 0

@@ -12,7 +12,6 @@ from repro.service.store import (
     UnknownJob,
     UnknownSite,
     create_store,
-    store_backends,
 )
 
 SPEC = {"experiment": "table1", "format": "table"}
@@ -138,13 +137,6 @@ class TestClaimProtocol:
         assert record.attempts == 0
         assert record.worker is None
 
-    def test_reassign_transfers_completion_authority(self, store):
-        job_id = store.submit(SPEC)
-        store.claim("scheduler", lease_s=60)
-        assert store.reassign(job_id, "scheduler", "w1")
-        assert not store.complete(job_id, "scheduler", "x")
-        assert store.complete(job_id, "w1", "y")
-
     def test_concurrent_claims_never_double_claim(self, clock, tmp_path):
         store = create_store(
             f"sqlite://{tmp_path}/jobs.db", queue_limit=64, clock=clock
@@ -266,7 +258,6 @@ class TestStoreFactory:
     def test_unknown_scheme_lists_registered_backends(self):
         with pytest.raises(ValueError, match="unknown store backend"):
             create_store("redis://localhost/0")
-        assert "sqlite" in store_backends()
 
     def test_duplicate_job_id_raises(self, store):
         store.submit(SPEC, job_id="job-12345678")

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.experiments.entry import StudyRequest, run_request
+from repro.obs import counters as obs_counters
 from repro.service.store import JobState, create_store
 from repro.service.worker import WorkerPool
 
@@ -91,6 +92,7 @@ class TestExecution:
             {"experiment": "fig1", "format": "json", "quick": True,
              "trials": 2, "jobs": 1, "cache": True}
         )
+        before = obs_counters.snapshot()
         pool = make_pool(store)
         pool.start()
         try:
@@ -100,8 +102,9 @@ class TestExecution:
             )
         finally:
             pool.shutdown(timeout=30)
-        assert pool.metrics.cells_done > 0
-        assert pool.metrics.trials_done > 0
+        after = obs_counters.snapshot()
+        for key in ("executor.cells_done", "executor.trials_done"):
+            assert after.get(key, 0) > before.get(key, 0)
 
 
 class TestCrashRecovery:

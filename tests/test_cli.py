@@ -78,6 +78,13 @@ class TestMain:
         assert "completed in" in captured.err
         assert "completed in" not in captured.out
 
+    def test_no_fast_path_ends_with_main(self, capsys):
+        from repro.core import execution
+
+        assert execution.FAST_PATH_ENABLED
+        assert main(["table1", "--no-fast-path"]) == 0
+        assert execution.FAST_PATH_ENABLED
+
     def test_table2_with_fraction(self, capsys):
         assert main(["table2", "--fraction", "0.5"]) == 0
         assert "TABLE II" in capsys.readouterr().out
