@@ -4,9 +4,12 @@ Runs the acceptance cell (C32 at 25% of the exascale machine, 2.5-year
 node MTBF, multilevel checkpointing) plus a failure-heavy small cell on
 both execution paths, verifies the stats are bit-identical, and records
 wall times, kernel event counts, and their ratios in
-``BENCH_fastpath.json`` at the repository root.  Timing discipline and
-result schema come from :mod:`bench_common`, shared with
-``bench_datacenter.py``.
+``BENCH_fastpath.json`` at the repository root.  Each cell also runs
+observed (``<cell>_observed``): the ``--trace-out``/``--metrics-out``
+sinks are attached on both paths, and their JSONL lines and metrics
+join the digest, so any divergence in the exported stream refuses the
+write too.  Timing discipline and result schema come from
+:mod:`bench_common`, shared with ``bench_datacenter.py``.
 
 Usage::
 
@@ -28,6 +31,7 @@ from bench_common import measure_pair, write_results
 from repro.core.execution import ResilientExecution
 from repro.core.single_app import FailureDriver, SingleAppConfig
 from repro.failures.generator import AppFailureGenerator
+from repro.obs.sinks import JsonlExportSink, MetricsSink
 from repro.platform.presets import exascale_system
 from repro.resilience.registry import get_technique
 from repro.rng.streams import StreamFactory
@@ -68,8 +72,9 @@ SMOKE_CELLS = {
 }
 
 
-def _trial(cell: dict, trial: int, fast: bool):
-    """One wired single-app trial; returns (seconds, digest, extras)."""
+def _trial(cell: dict, trial: int, fast: bool, observed: bool):
+    """One wired single-app trial; returns (seconds, digest, extras).
+    *observed* attaches the export and metrics sinks."""
     execution.FAST_PATH_ENABLED = fast
     system = exascale_system(total_nodes=cell["system_nodes"])
     app = make_application(
@@ -81,6 +86,9 @@ def _trial(cell: dict, trial: int, fast: bool):
         app, system, config.node_mtbf_s, severity=config.severity_model()
     )
     sim = Simulator()
+    sinks = (JsonlExportSink(), MetricsSink()) if observed else ()
+    for sink in sinks:
+        sink.attach(sim.bus)
     cap = config.max_time_factor * plan.effective_work_s
     engine = ResilientExecution(sim, plan, until=cap)
     proc = sim.process(engine.run(), name="app")
@@ -109,14 +117,20 @@ def _trial(cell: dict, trial: int, fast: bool):
         stats.checkpoint_time_s,
         stats.restart_time_s,
     )
+    if observed:
+        export, metrics = sinks
+        digest += (tuple(export.lines), metrics.to_dict())
     extras = {"events": sim.event_count, "jumps": engine.fast_jumps}
     return elapsed, digest, extras
 
 
-def _bench_cell(name: str, cell: dict, trials: int, repeats: int) -> dict:
+def _bench_cell(
+    name: str, cell: dict, trials: int, repeats: int, observed: bool
+) -> dict:
     """Aggregate per-trial paired measurements into one cell record."""
     result = {
         "cell": cell,
+        "observed": observed,
         "trials": trials,
         "stepped_wall_s": 0.0,
         "fast_wall_s": 0.0,
@@ -127,8 +141,8 @@ def _bench_cell(name: str, cell: dict, trials: int, repeats: int) -> dict:
     }
     for trial in range(trials):
         record = measure_pair(
-            lambda trial=trial: _trial(cell, trial, fast=False),
-            lambda trial=trial: _trial(cell, trial, fast=True),
+            lambda trial=trial: _trial(cell, trial, False, observed),
+            lambda trial=trial: _trial(cell, trial, True, observed),
             repeats=repeats,
         )
         result["stepped_wall_s"] += record["stepped_wall_s"]
@@ -181,8 +195,11 @@ def main() -> int:
 
     cells = SMOKE_CELLS if args.smoke else CELLS
     records = {
-        name: _bench_cell(name, cell, args.trials, args.repeats)
+        name + suffix: _bench_cell(
+            name + suffix, cell, args.trials, args.repeats, observed
+        )
         for name, cell in cells.items()
+        for suffix, observed in (("", False), ("_observed", True))
     }
     return write_results(
         args.out,

@@ -1,6 +1,6 @@
 """Benchmark the instrumentation bus: kernel overhead of observation.
 
-Three questions, answered with wall-clock measurements:
+Four questions, answered with wall-clock measurements:
 
 1. What does the *empty* bus cost the kernel hot loop?  The refactor
    added one attribute access plus a truthiness test per executed
@@ -10,7 +10,12 @@ Three questions, answered with wall-clock measurements:
 2. What does a kernel tap (TraceSink) cost when attached?
 3. What do the full domain-event sinks cost a real single-application
    simulation (TraceSink + MetricsSink + TimelineSink +
-   JsonlExportSink attached vs. none)?
+   JsonlExportSink attached vs. none)?  The TraceSink kernel tap keeps
+   this run on the stepped path.
+4. What do the ``--trace-out``/``--metrics-out`` sinks alone
+   (JsonlExportSink + MetricsSink) cost the same simulation?  Without a
+   kernel tap it keeps the fast path, so this is the price of
+   serialising the events.
 
 Results are printed and recorded under
 ``benchmarks/results/obs_overhead.txt``.
@@ -121,10 +126,14 @@ def main() -> int:
 
     bare_trial = _best_of(lambda: _trial_run(None), r)
     sunk_trial = _best_of(lambda: _trial_run(full_sinks()), r)
+    export_trial = _best_of(
+        lambda: _trial_run((JsonlExportSink(), MetricsSink())), r
+    )
 
     empty_overhead = 100.0 * (empty_bus - no_check) / no_check
     tap_overhead = 100.0 * (tapped - no_check) / no_check
     trial_overhead = 100.0 * (sunk_trial - bare_trial) / bare_trial
+    export_overhead = 100.0 * (export_trial - bare_trial) / bare_trial
 
     lines = [
         "Instrumentation bus: kernel and sink overhead",
@@ -138,6 +147,8 @@ def main() -> int:
         f"  no sinks:                {1e3 * bare_trial:8.2f} ms",
         f"  all four sinks:          {1e3 * sunk_trial:8.2f} ms  "
         f"({trial_overhead:+.1f}%)",
+        f"  export + metrics sinks:  {1e3 * export_trial:8.2f} ms  "
+        f"({export_overhead:+.1f}%)",
         f"empty-bus kernel overhead: {empty_overhead:.2f}% (bar: < 5%)",
     ]
     text = "\n".join(lines) + "\n"

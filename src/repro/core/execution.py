@@ -500,18 +500,24 @@ class ResilientExecution:
         The fast path skips the per-boundary kernel events, so it is
         only taken when nothing can tell the difference: shared-pool
         contention without a gate makes slot waits possible inside the
-        stretch; a timeline recorder or any shared-bus observer (sinks,
-        kernel taps) expects the full per-boundary event stream, so
-        observed runs auto-fall back to the stepped path.  The
-        horizon-bounded mode additionally needs a horizon provider;
-        greedy mode needs none (interrupts abort the jump wherever
-        they land).
+        stretch, and kernel taps and the timeline recorder expect every
+        per-boundary kernel event.  Domain-event subscribers on the
+        shared bus do not force the stepped path: jumps buffer the
+        events they fold and publish them once realized
+        (:meth:`_fast_forward`).  Greedy (datacenter) engines still
+        step while the shared bus has subscribers, because their
+        folded jumps would reorder events of different jobs there.
+        The horizon-bounded mode additionally needs a horizon
+        provider; greedy mode needs none (interrupts abort the jump
+        wherever they land).
         """
+        bus = self._bus
         if (
             not FAST_PATH_ENABLED
             or self._contended
             or self._record_timeline
-            or self._bus.observed
+            or bus.kernel_taps
+            or (self._greedy and bus.has_subscribers)
         ):
             return False
         return self._greedy or self._failure_horizon is not None
@@ -545,6 +551,14 @@ class ResilientExecution:
         :meth:`_resume_after_abort`); while the gate is closed, folding
         stops before the first pool-backed boundary so that checkpoint
         queues for real.
+
+        With domain-event subscribers on the shared bus, the fold
+        buffers the events the stepped path publishes for what it
+        applies, and the buffer reaches the shared bus only once the
+        jump is realized: whole when the timeout completes, or rebuilt
+        by the re-fold up to an interrupt.  A jump never publishes an
+        event that did not happen.  The engine-local bus gets none of
+        them, since the fold already updated the stats.
         """
         start = self._sim.now
         limit = None
@@ -558,6 +572,7 @@ class ResilientExecution:
                 return False  # the pending failure is due right now
         gate = self._gate
         snapshot = self._snapshot_state()
+        events = [] if self._bus.has_subscribers else None
         t, iterations, uses_pool, _ = self._fold(
             start,
             total,
@@ -566,6 +581,7 @@ class ResilientExecution:
             cap=math.inf if self._until is None else self._until,
             limit=limit,
             gate=gate,
+            events=events,
         )
         self.fast_iterations_skipped += iterations
         if t == start:
@@ -586,11 +602,19 @@ class ResilientExecution:
                 return True
             # A failure at a wake instant preempts the wake, so an
             # operation ending exactly at the interrupt is cut short.
-            self._cut_short(self._fold(start, total, base, cut=self._sim.now)[3])
+            events = None if events is None else []
+            straddler = self._fold(
+                start, total, base, cut=self._sim.now, events=events
+            )[3]
+            for event in events or ():
+                self._bus.publish(event)
+            self._cut_short(straddler)
             yield from self._on_failure(interrupt.cause)
             return True
         if uses_pool:
             gate.end_jump(self)
+        for event in events or ():
+            self._bus.publish(event)
         return True
 
     def _fold(
@@ -603,6 +627,7 @@ class ResilientExecution:
         cap: float = math.inf,
         limit: Optional[int] = None,
         gate: Optional[PoolContentionGate] = None,
+        events: Optional[list] = None,
     ) -> Tuple[float, int, bool, Optional[tuple]]:
         """Apply main-loop iterations from virtual time *t* in closed form.
 
@@ -627,6 +652,12 @@ class ResilientExecution:
         stepped sleep advances work by (speed 0 for a checkpoint, whose
         pending-commit settlement is already applied), and the boundary
         its iteration runs to.
+
+        With an *events* list, the fold appends the ``ActivitySpan``,
+        ``CheckpointTaken`` and ``CheckpointFailed`` events the stepped
+        path publishes for each operation it applies, with the same
+        times, fields and order; a rejected iteration takes its events
+        back out.
 
         Returns ``(t, iterations, uses_pool, straddler)``: the virtual
         time after the whole iterations applied, their count, whether
@@ -658,6 +689,11 @@ class ResilientExecution:
         saved = self._saved
         degraded = self._degraded
         counts = stats.checkpoints_taken
+        app_id = self._app_id
+        technique = self._technique
+        # Length of *events* after the last accepted iteration: a
+        # rejected one cuts its spans back to it.
+        mark = 0 if events is None else len(events)
         uses_pool = False
         iterations = 0
         straddler = None
@@ -697,6 +733,11 @@ class ResilientExecution:
                         rework_v = rework_v + (tt - seg_start)
                     else:
                         work_v = work_v + (tt - seg_start)
+                    if events is not None:
+                        kind = "recovery" if rework_seg else "work"
+                        events.append(
+                            ActivitySpan(tt, app_id, technique, kind, seg_start, tt)
+                        )
             if straddler is not None:
                 done_v = d
                 furthest_v = f
@@ -720,6 +761,8 @@ class ResilientExecution:
                     if not gate.open:
                         work_v = work0
                         rework_v = rework0
+                        if events is not None:
+                            del events[mark:]
                         break
                     iteration_uses_pool = True
                 blocking = level.cost_s * level.blocking_fraction
@@ -733,6 +776,8 @@ class ResilientExecution:
             if end >= horizon or end > cap or end <= t:
                 work_v = work0
                 rework_v = rework0
+                if events is not None:
+                    del events[mark:]
                 break
             # -- accepted: commit position and checkpoint effects.
             done_v = d
@@ -746,8 +791,16 @@ class ResilientExecution:
                         if degraded:
                             degraded.clear()
                         counts[idx] = counts.get(idx, 0) + 1
+                        if events is not None:
+                            events.append(
+                                CheckpointTaken(seg_end, app_id, technique, idx, work)
+                            )
                     else:
                         failed_v += 1
+                        if events is not None:
+                            events.append(
+                                CheckpointFailed(seg_end, app_id, technique, idx)
+                            )
                 if end >= cut:
                     straddler = ("checkpoint", seg_end, end, blocking, 0.0, boundary)
                     break
@@ -761,6 +814,20 @@ class ResilientExecution:
                 else:
                     remainder = level.cost_s - blocking
                     pending_v = (level.index, d, end + remainder)
+                if events is not None:
+                    # Apart from the updates above, so that the unobserved
+                    # path pays one check here per iteration.
+                    if end > seg_end:
+                        events.append(
+                            ActivitySpan(
+                                end, app_id, technique, "checkpoint", seg_end, end
+                            )
+                        )
+                    if level.blocking_fraction >= 1.0:
+                        events.append(
+                            CheckpointTaken(end, app_id, technique, level.index, d)
+                        )
+                    mark = len(events)
                 if iteration_uses_pool:
                     uses_pool = True
             t = end

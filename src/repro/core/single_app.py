@@ -199,8 +199,7 @@ def simulate_application(
         for sink in sinks:
             sink.attach(sim.bus)
     # Thread-locally activated live sinks (the telemetry feed of a
-    # watched service job); a no-op when nothing is activated, so
-    # unwatched trials keep the unobserved fast path.
+    # watched service job); a no-op when nothing is activated.
     live.attach_current(sim.bus)
     started = TrialStarted(
         time=0.0,

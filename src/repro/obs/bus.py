@@ -75,9 +75,10 @@ class EventBus:
     @property
     def observed(self) -> bool:
         """True when anything at all watches this bus — domain-event
-        handlers or kernel taps.  The execution engine's failure-horizon
-        fast path checks this and falls back to the stepped path, so
-        observers always see the full per-boundary event stream."""
+        handlers or kernel taps.  (The execution engine's fast path
+        steps for kernel taps, and for domain-event handlers only on a
+        shared datacenter bus; see ``ResilientExecution
+        ._fast_path_usable``.)"""
         return self._active or bool(self.kernel_taps)
 
     def subscriber_count(self) -> int:

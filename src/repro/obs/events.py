@@ -28,6 +28,10 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 
+#: Event class -> its dataclass field names, in declaration order.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 @dataclass(frozen=True)
 class DomainEvent:
     """Base class: every domain event has a simulated time."""
@@ -36,10 +40,13 @@ class DomainEvent:
 
     def to_record(self) -> Dict[str, Any]:
         """Plain-data form used by export sinks (JSON-serialisable)."""
-        record: Dict[str, Any] = {"event": type(self).__name__}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            record[f.name] = value
+        cls = type(self)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+        record: Dict[str, Any] = {"event": cls.__name__}
+        for name in names:
+            record[name] = getattr(self, name)
         return record
 
 

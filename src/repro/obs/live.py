@@ -3,11 +3,11 @@
 The telemetry subsystem (:mod:`repro.telemetry`) needs the domain
 events of a *running* job — failure injections, checkpoints, restarts
 — while the simulation is still in flight.  Those events exist only on
-each simulation's own :class:`repro.obs.bus.EventBus`, and attaching
-any handler to a bus flips its ``observed`` flag, which makes the
-execution engine fall back from the failure-horizon fast path to the
-stepped path (byte-identical, just slower).  Blanket instrumentation
-would therefore tax every simulation in the process.
+each simulation's own :class:`repro.obs.bus.EventBus`, and a handler
+on a bus makes every domain event of that simulation pay for its
+serialisation; a datacenter simulation also steps instead of taking
+greedy fast-path jumps (byte-identical, just slower).  Blanket
+instrumentation would therefore tax every simulation in the process.
 
 This module threads the needle: a worker activates live sinks *for the
 current thread only* around one job's execution, and the simulation
@@ -56,8 +56,8 @@ def attach_current(bus) -> None:
     """Attach the calling thread's activated sinks (if any) to *bus*.
 
     Called by the simulation entry points on each fresh bus; a no-op
-    (one thread-local read) when nothing is activated, so it never
-    flips ``bus.observed`` for unwatched simulations.
+    (one thread-local read) when nothing is activated, so unwatched
+    simulations keep a bus with no subscribers.
     """
     sinks = current_sinks()
     if sinks:

@@ -194,13 +194,17 @@ def _json_default(value: Any) -> Any:
     return str(value)
 
 
+#: The one encoder behind every exported line (``json.dumps`` with
+#: these arguments would build a new encoder per event).
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, default=_json_default, separators=(",", ":")
+)
+
+
 def event_to_jsonl(event: DomainEvent) -> str:
     """One deterministic JSON line for *event* (sorted keys; simulated
     times only, so identical runs export identical bytes)."""
-    return json.dumps(
-        event.to_record(), sort_keys=True, default=_json_default,
-        separators=(",", ":"),
-    )
+    return _ENCODER.encode(event.to_record())
 
 
 def event_record(event: DomainEvent) -> Dict[str, Any]:

@@ -552,7 +552,7 @@ class WorkerAgent:
             # Watched jobs get a live simulation-event sink activated
             # thread-locally around execute(); job_sink returns None
             # for unwatched jobs (and activated() filters the None),
-            # so their trials keep the unobserved fast path.
+            # so their trials serialise no events.
             sink = (
                 self.telemetry.job_sink(record.id)
                 if self.telemetry is not None

@@ -600,7 +600,7 @@ class ReproService:
             "jobs": [record.to_payload() for record in batch],
             # The subset of this batch that SSE consumers are watching:
             # the agent forwards live simulation events for exactly
-            # these (everything else keeps the unobserved fast path).
+            # these (everything else serialises no events).
             "watched": [
                 record.id
                 for record in batch

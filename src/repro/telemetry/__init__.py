@@ -20,8 +20,9 @@ literature):
 
 Streaming never perturbs results: live simulation-event sinks attach
 only to *watched* jobs' trials (via :mod:`repro.obs.live`), so every
-other simulation keeps its unobserved failure-horizon fast path, and
-sinks are passive observers, so watched runs stay byte-identical too.
+other simulation serialises no events (and its datacenter trials keep
+their greedy fast path), and sinks are passive observers, so watched
+runs stay byte-identical too.
 See ``docs/OBSERVABILITY.md`` (streaming section) and
 ``docs/SERVICE.md`` (API table).
 """

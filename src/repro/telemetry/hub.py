@@ -11,8 +11,8 @@ through on its way to SSE consumers:
   (:meth:`ingest`), tagged with the originating site;
 - the in-process worker pool asks :meth:`job_sink` for a live
   simulation-event sink around each job it runs — non-None only for
-  *watched* jobs, so unwatched trials never observe their bus and
-  keep the failure-horizon fast path;
+  *watched* jobs, so unwatched trials serialise no events (and their
+  datacenter trials keep the greedy fast path);
 - the adaptive campaign controller reports progress through
   :meth:`campaign_notify`.
 

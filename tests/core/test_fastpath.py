@@ -1,8 +1,9 @@
 """Equivalence tests for the failure-horizon fast path.
 
 The fast path (closed-form event skipping between failures) must be
-invisible: every statistic bit-identical to the stepped event-by-event
-path, engaging only when nothing observes the run.  See
+invisible: every statistic and every published domain event identical
+to the stepped event-by-event path, stepping only where a kernel tap
+or timeline recorder needs the per-boundary kernel events.  See
 docs/PERFORMANCE.md for the exactness argument these tests enforce.
 """
 
@@ -20,7 +21,7 @@ from repro.core.single_app import (
     simulate_application,
 )
 from repro.failures.generator import AppFailureGenerator, Failure
-from repro.obs.sinks import MetricsSink
+from repro.obs.sinks import RecordingSink, TraceSink
 from repro.platform.presets import exascale_system
 from repro.resilience import get_technique, scaling_study_techniques
 from repro.resilience.base import CheckpointLevel, ExecutionPlan
@@ -201,9 +202,12 @@ def _toy_plan(
     )
 
 
-def _deterministic_run(sim, plan, failures, *, horizon=None):
+def _deterministic_run(sim, plan, failures, *, horizon=None, sink=None):
     """Run *plan* injecting failures at fixed instants; a *horizon*
-    callable turns the fast path on (use a lying one to force replay)."""
+    callable turns the fast path on (use a lying one to force replay).
+    A *sink* is attached to the simulator's bus first."""
+    if sink is not None:
+        sink.attach(sim.bus)
     engine = ResilientExecution(sim, plan, failure_horizon=horizon, until=1e9)
     proc = sim.process(engine.run(), name="app")
     for time, severity in failures:
@@ -261,6 +265,25 @@ def _variant_plan(blocking, speedup, levels, time_steps=10):
     )
 
 
+#: Failure instants against the one-level toy plan, whose iterations
+#: end at 110, 220, ... (100 s work + 10 s checkpoint).
+FAIL_AT = [
+    50.0,  # mid work segment
+    100.0,  # exactly at a work-segment end (wake instant)
+    105.0,  # mid checkpoint
+    110.0,  # exactly at a checkpoint end (wake instant)
+    330.0,  # exactly at a later iteration boundary
+    424.5,  # late, mid segment
+]
+
+#: Failure schedules that strike during rework and restarts.
+RECOVERY_SCHEDULES = (
+    [(150.0, 1), (175.0, 1)],
+    [(90.0, 1), (130.0, 1), (220.0, 2), (500.0, 1)],
+    [(450.0, 3), (520.0, 1), (560.0, 1), (700.0, 2)],
+)
+
+
 def _stepped_spans(plan):
     """``(start, end, activity)`` spans of a failure-free stepped run;
     every span end is a kernel wake instant a failure can tie with."""
@@ -279,18 +302,7 @@ class TestReplayOnInterrupt:
 
     LIAR = staticmethod(lambda: None)
 
-    # Iterations end at 110, 220, ... (100 s work + 10 s checkpoint).
-    @pytest.mark.parametrize(
-        "fail_at",
-        [
-            50.0,  # mid work segment
-            100.0,  # exactly at a work-segment end (wake instant)
-            105.0,  # mid checkpoint
-            110.0,  # exactly at a checkpoint end (wake instant)
-            330.0,  # exactly at a later iteration boundary
-            424.5,  # late, mid segment
-        ],
-    )
+    @pytest.mark.parametrize("fail_at", FAIL_AT)
     def test_single_failure_matches_stepped(self, fail_at, monkeypatch):
         monkeypatch.setattr(execution, "FAST_PATH_ENABLED", True)
         failures = [(fail_at, 1)]
@@ -353,12 +365,7 @@ class TestReplayOnInterrupt:
     ):
         monkeypatch.setattr(execution, "FAST_PATH_ENABLED", True)
         plan = _variant_plan(blocking, speedup, levels, time_steps=20)
-        schedules = (
-            [(150.0, 1), (175.0, 1)],
-            [(90.0, 1), (130.0, 1), (220.0, 2), (500.0, 1)],
-            [(450.0, 3), (520.0, 1), (560.0, 1), (700.0, 2)],
-        )
-        for failures in schedules:
+        for failures in RECOVERY_SCHEDULES:
             stepped = _deterministic_run(Simulator(), plan, failures)
             fast = _deterministic_run(
                 Simulator(), plan, failures, horizon=self.LIAR
@@ -366,6 +373,51 @@ class TestReplayOnInterrupt:
             assert fast.stats.failures == len(failures)
             assert fast.stats.rework_time_s > 0
             _assert_same_stats(stepped.stats, fast.stats)
+
+
+class TestObservedReplay:
+    """Observed runs jump too.  A lying horizon makes every failure land
+    mid-jump, so the published stream must drop the speculative part
+    and equal the stepped path's event for event."""
+
+    def _assert_same_events(self, plan, failures):
+        stepped_sink, fast_sink = RecordingSink(), RecordingSink()
+        stepped = _deterministic_run(Simulator(), plan, failures, sink=stepped_sink)
+        fast = _deterministic_run(
+            Simulator(),
+            plan,
+            failures,
+            horizon=TestReplayOnInterrupt.LIAR,
+            sink=fast_sink,
+        )
+        assert fast.fast_jumps > 0
+        assert fast_sink.events == stepped_sink.events
+        _assert_same_stats(stepped.stats, fast.stats)
+
+    @pytest.mark.parametrize("fail_at", FAIL_AT)
+    def test_single_failure_events_match_stepped(self, fail_at, monkeypatch):
+        monkeypatch.setattr(execution, "FAST_PATH_ENABLED", True)
+        self._assert_same_events(_toy_plan(), [(fail_at, 1)])
+
+    @pytest.mark.parametrize("blocking,speedup,levels", VARIANTS)
+    def test_variant_events_at_wake_instants_and_midpoints(
+        self, blocking, speedup, levels, monkeypatch
+    ):
+        monkeypatch.setattr(execution, "FAST_PATH_ENABLED", True)
+        plan = _variant_plan(blocking, speedup, levels)
+        for start, end, _activity in _stepped_spans(plan)[:8]:
+            for fail_at in (end, (start + end) / 2):
+                for severity in (1, 3):
+                    self._assert_same_events(plan, [(fail_at, severity)])
+
+    @pytest.mark.parametrize("blocking,speedup,levels", VARIANTS)
+    def test_variant_events_during_recovery(
+        self, blocking, speedup, levels, monkeypatch
+    ):
+        monkeypatch.setattr(execution, "FAST_PATH_ENABLED", True)
+        plan = _variant_plan(blocking, speedup, levels, time_steps=20)
+        for failures in RECOVERY_SCHEDULES:
+            self._assert_same_events(plan, failures)
 
 
 class TestFallbacks:
@@ -379,14 +431,22 @@ class TestFallbacks:
         _, engine = _wired_run(technique, True, monkeypatch, horizon=False)
         assert engine.fast_jumps == 0
 
-    def test_bus_observer_forces_stepped(self, monkeypatch):
+    def test_bus_observer_keeps_fast_path(self, monkeypatch):
         technique = get_technique("multilevel")
-        sink = MetricsSink()
+        stepped_sink = RecordingSink()
+        _wired_run(technique, False, monkeypatch, sinks=[stepped_sink])
+        sink = RecordingSink()
         _, engine = _wired_run(technique, True, monkeypatch, sinks=[sink])
-        assert engine.fast_jumps == 0
+        assert engine.fast_jumps > 0
+        assert sink.events == stepped_sink.events
         # And the observed run still matches the unobserved one.
         _, plain = _wired_run(technique, True, monkeypatch)
         _assert_same_stats(engine.stats, plain.stats)
+
+    def test_kernel_tap_forces_stepped(self, monkeypatch):
+        technique = get_technique("multilevel")
+        _, engine = _wired_run(technique, True, monkeypatch, sinks=[TraceSink()])
+        assert engine.fast_jumps == 0
 
     def test_record_timeline_forces_stepped(self, monkeypatch):
         technique = get_technique("multilevel")

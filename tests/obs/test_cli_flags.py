@@ -1,5 +1,6 @@
 """The --trace-out / --metrics-out CLI flags."""
 
+import hashlib
 import json
 
 from repro.cli import build_parser, main
@@ -79,3 +80,29 @@ class TestTraceOut:
         assert "JobArrived" in kinds
         assert "JobMapped" in kinds
         assert {"JobCompleted", "JobDropped"} & kinds
+
+
+class TestFastPathByteIdentity:
+    """Observed fig1 exports are the same bytes on both paths."""
+
+    #: sha256 of ``fig1 --quick --trials 1 --no-cache`` exports, taken
+    #: when observed runs still stepped (57041 trace lines).
+    TRACE_SHA256 = "36ae6e2684ddb16d05d476b3bdea438e30545bcbef7ec0a0ee866ed3d919ab24"
+    METRICS_SHA256 = "6fab4f6d821464d5995c3149b9e198a96d3e28de8c9edac625848a4729b69d7d"
+
+    def test_exports_identical_with_and_without_fast_path(self, tmp_path, capsys):
+        digests = []
+        for extra in ([], ["--no-fast-path"]):
+            trace = tmp_path / f"trace{len(extra)}.jsonl"
+            metrics = tmp_path / f"metrics{len(extra)}.json"
+            argv = ["fig1", "--quick", "--trials", "1", "--no-cache"]
+            argv += ["--trace-out", str(trace), "--metrics-out", str(metrics)]
+            assert main(argv + extra) == 0
+            digests.append(
+                tuple(
+                    hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (trace, metrics)
+                )
+            )
+        capsys.readouterr()
+        assert digests == [(self.TRACE_SHA256, self.METRICS_SHA256)] * 2

@@ -1,14 +1,29 @@
 """Unit tests for the shipped bus sinks."""
 
+import dataclasses
 import io
 import json
 
+import pytest
+
 from repro.obs.bus import EventBus
 from repro.obs.events import (
+    ALL_EVENT_TYPES,
     ActivitySpan,
+    CheckpointFailed,
     CheckpointTaken,
+    ExecutionCompleted,
+    ExecutionStarted,
     FailureInjected,
+    JobArrived,
+    JobCompleted,
     JobDropped,
+    JobMapped,
+    RecoveryCompleted,
+    ReplicaAbsorbed,
+    RestartStarted,
+    TrialFinished,
+    TrialStarted,
 )
 from repro.obs.sinks import (
     JsonlExportSink,
@@ -16,6 +31,7 @@ from repro.obs.sinks import (
     RecordingSink,
     TimelineSink,
     TraceSink,
+    event_record,
     event_to_jsonl,
 )
 from repro.sim.engine import Simulator
@@ -154,3 +170,136 @@ class TestJsonlExport:
         assert sink.write(buffer) == 2
         parsed = [json.loads(line) for line in buffer.getvalue().splitlines()]
         assert [p["event"] for p in parsed] == ["JobDropped", "CheckpointTaken"]
+
+
+#: One event of every type with its exact export line: long floats,
+#: exponents, bools, negative zero and default ``None`` fields.
+GOLDEN = [
+    (
+        ExecutionStarted(time=0.1 + 0.2, app_id=3, technique="multilevel"),
+        '{"app_id":3,"event":"ExecutionStarted","technique":"multilevel",'
+        '"time":0.30000000000000004}',
+    ),
+    (
+        ExecutionCompleted(time=86400.00000000001, app_id=3, technique="multilevel"),
+        '{"app_id":3,"event":"ExecutionCompleted","technique":"multilevel",'
+        '"time":86400.00000000001}',
+    ),
+    (
+        FailureInjected(time=1234.5678901234567, app_id=3, node_id=-1, severity=2),
+        '{"app_id":3,"event":"FailureInjected","node_id":-1,"severity":2,'
+        '"time":1234.5678901234567,"width":1}',
+    ),
+    (
+        ReplicaAbsorbed(
+            time=2.0 / 3.0, app_id=7, technique="redundancy", degraded_virtual_nodes=4
+        ),
+        '{"app_id":7,"degraded_virtual_nodes":4,"event":"ReplicaAbsorbed",'
+        '"technique":"redundancy","time":0.6666666666666666}',
+    ),
+    (
+        RestartStarted(
+            time=1e-7,
+            app_id=3,
+            technique="checkpoint_restart",
+            severity=3,
+            level_index=1,
+            retry=True,
+        ),
+        '{"app_id":3,"event":"RestartStarted","level_index":1,"retry":true,'
+        '"severity":3,"technique":"checkpoint_restart","time":1e-07}',
+    ),
+    (
+        RecoveryCompleted(
+            time=1.5e300,
+            app_id=3,
+            technique="parallel_recovery",
+            level_index=0,
+            position=123456789.12345679,
+        ),
+        '{"app_id":3,"event":"RecoveryCompleted","level_index":0,'
+        '"position":123456789.12345679,"technique":"parallel_recovery",'
+        '"time":1.5e+300}',
+    ),
+    (
+        CheckpointTaken(
+            time=3600.0, app_id=0, technique="multilevel", level_index=2, position=1e16
+        ),
+        '{"app_id":0,"event":"CheckpointTaken","level_index":2,"position":1e+16,'
+        '"technique":"multilevel","time":3600.0}',
+    ),
+    (
+        CheckpointFailed(time=5e-324, app_id=0, technique="multilevel", level_index=1),
+        '{"app_id":0,"event":"CheckpointFailed","level_index":1,'
+        '"technique":"multilevel","time":5e-324}',
+    ),
+    (
+        ActivitySpan(
+            time=110.00000000000001,
+            app_id=1,
+            technique="message_logging",
+            activity="recovery",
+            start=100.0,
+            end=110.00000000000001,
+        ),
+        '{"activity":"recovery","app_id":1,"end":110.00000000000001,'
+        '"event":"ActivitySpan","start":100.0,"technique":"message_logging",'
+        '"time":110.00000000000001}',
+    ),
+    (
+        JobArrived(time=0.0, app_id=12, nodes=30000),
+        '{"app_id":12,"event":"JobArrived","is_fill":false,"nodes":30000,'
+        '"time":0.0}',
+    ),
+    (
+        JobMapped(
+            time=17.25, app_id=12, nodes=30000, technique="multilevel", is_fill=True
+        ),
+        '{"app_id":12,"event":"JobMapped","is_fill":true,"nodes":30000,'
+        '"technique":"multilevel","time":17.25}',
+    ),
+    (
+        JobDropped(time=99.99999999999999, app_id=12, reason="deadline_miss"),
+        '{"app_id":12,"event":"JobDropped","is_fill":false,'
+        '"reason":"deadline_miss","time":99.99999999999999}',
+    ),
+    (
+        JobCompleted(time=-0.0, app_id=12, met_deadline=False, is_fill=True),
+        '{"app_id":12,"event":"JobCompleted","is_fill":true,"met_deadline":false,'
+        '"time":-0.0}',
+    ),
+    (
+        TrialStarted(time=0.0, scope="single_app"),
+        '{"app_id":null,"event":"TrialStarted","scope":"single_app",'
+        '"technique":null,"time":0.0,"trial":null}',
+    ),
+    (
+        TrialFinished(
+            time=7.000000000000001,
+            scope="datacenter",
+            technique="multilevel",
+            trial=4,
+            completed=False,
+        ),
+        '{"app_id":null,"completed":false,"event":"TrialFinished",'
+        '"scope":"datacenter","technique":"multilevel","time":7.000000000000001,'
+        '"trial":4}',
+    ),
+]
+
+
+class TestGoldenExport:
+    def test_covers_every_event_type(self):
+        assert [type(event) for event, _ in GOLDEN] == list(ALL_EVENT_TYPES)
+
+    @pytest.mark.parametrize(
+        "event,line", GOLDEN, ids=[type(event).__name__ for event, _ in GOLDEN]
+    )
+    def test_exact_bytes_and_record(self, event, line):
+        assert event_to_jsonl(event) == line
+        record = event_record(event)
+        assert record == json.loads(line)
+        assert list(record) == [
+            "event",
+            *(f.name for f in dataclasses.fields(event)),
+        ]
