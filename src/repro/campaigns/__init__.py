@@ -10,7 +10,6 @@ question — which resilience technique wins where — is still open.
 """
 
 from repro.campaigns.controller import (
-    AdaptiveConfig,
     Campaign,
     CampaignRegistry,
     UnknownCampaign,
@@ -20,7 +19,6 @@ from repro.campaigns.controller import (
 )
 
 __all__ = [
-    "AdaptiveConfig",
     "Campaign",
     "CampaignRegistry",
     "UnknownCampaign",

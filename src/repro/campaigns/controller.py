@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -86,118 +86,6 @@ _TECH_TAGS = {
 
 class UnknownCampaign(KeyError):
     """No campaign with the requested id exists (HTTP 404)."""
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Controller knobs of one adaptive campaign (defaults mirror the
-    scenario schema's ``[adaptive]`` section)."""
-
-    max_trials: int = 200
-    batch_size: int = 25
-    ci_rel_threshold: float = 0.02
-    refine_depth: int = 1
-
-    @classmethod
-    def from_spec(cls, adaptive: Optional[AdaptiveSpec]) -> "AdaptiveConfig":
-        """The config a spec's ``[adaptive]`` section asks for (the
-        defaults when the section is absent)."""
-        if adaptive is None:
-            return cls()
-        return cls(
-            max_trials=adaptive.max_trials,
-            batch_size=adaptive.batch_size,
-            ci_rel_threshold=adaptive.ci_rel_threshold,
-            refine_depth=adaptive.refine_depth,
-        )
-
-    @classmethod
-    def from_payload(
-        cls, payload: Any, defaults: Optional["AdaptiveConfig"] = None
-    ) -> "AdaptiveConfig":
-        """Strictly parse the ``adaptive`` object of a ``POST
-        /v1/campaigns`` body, overriding *defaults* field-wise; raises
-        :class:`~repro.service.jobs.ValidationError` (HTTP 400) on
-        unknown fields, wrong types, or out-of-range values."""
-        from repro.service.jobs import ValidationError
-
-        base = defaults if defaults is not None else cls()
-        if not isinstance(payload, dict):
-            raise ValidationError("field 'adaptive' must be an object")
-        data = dict(payload)
-        max_trials = data.pop("max_trials", base.max_trials)
-        if (
-            isinstance(max_trials, bool)
-            or not isinstance(max_trials, int)
-            or max_trials < 2
-        ):
-            raise ValidationError(
-                f"field 'adaptive.max_trials' must be an integer >= 2, "
-                f"got {max_trials!r}"
-            )
-        batch_size = data.pop("batch_size", base.batch_size)
-        if (
-            isinstance(batch_size, bool)
-            or not isinstance(batch_size, int)
-            or batch_size < 2
-        ):
-            raise ValidationError(
-                f"field 'adaptive.batch_size' must be an integer >= 2, "
-                f"got {batch_size!r}"
-            )
-        if batch_size > max_trials:
-            raise ValidationError(
-                f"field 'adaptive.batch_size' must be <= max_trials "
-                f"({max_trials}), got {batch_size}"
-            )
-        threshold = data.pop("ci_rel_threshold", base.ci_rel_threshold)
-        if (
-            isinstance(threshold, bool)
-            or not isinstance(threshold, (int, float))
-            or not 0.0 < float(threshold) < 1.0
-        ):
-            raise ValidationError(
-                f"field 'adaptive.ci_rel_threshold' must be a number in "
-                f"(0, 1), got {threshold!r}"
-            )
-        refine_depth = data.pop("refine_depth", base.refine_depth)
-        if (
-            isinstance(refine_depth, bool)
-            or not isinstance(refine_depth, int)
-            or refine_depth < 0
-        ):
-            raise ValidationError(
-                f"field 'adaptive.refine_depth' must be an integer >= 0, "
-                f"got {refine_depth!r}"
-            )
-        if data:
-            raise ValidationError(
-                f"unknown adaptive field {sorted(data)[0]!r}"
-            )
-        return cls(
-            max_trials=max_trials,
-            batch_size=batch_size,
-            ci_rel_threshold=float(threshold),
-            refine_depth=refine_depth,
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe dict (echoed in campaign responses)."""
-        return {
-            "max_trials": self.max_trials,
-            "batch_size": self.batch_size,
-            "ci_rel_threshold": self.ci_rel_threshold,
-            "refine_depth": self.refine_depth,
-        }
-
-    def batch_sizes(self) -> List[int]:
-        """Trial counts of the batch chain covering ``max_trials``
-        (all ``batch_size`` except a possibly short last batch)."""
-        sizes = [self.batch_size] * (self.max_trials // self.batch_size)
-        rest = self.max_trials % self.batch_size
-        if rest:
-            sizes.append(rest)
-        return sizes
 
 
 def parse_cell_result(text: str) -> Tuple[int, float, float, bool]:
@@ -371,6 +259,10 @@ class Campaign:
     """One registered campaign: either a static job list or an
     adaptive cell grid under controller management.
 
+    An adaptive campaign enqueues every job — its base wave and each
+    later refinement probe — through its own *submit*, so all of them
+    carry the executor settings the campaign was submitted with.
+
     Mutated only by :meth:`step` (the controller thread) and read by
     :meth:`status` (HTTP threads); the owning
     :class:`CampaignRegistry` serializes both under its lock.
@@ -382,8 +274,9 @@ class Campaign:
         spec: ScenarioSpec,
         sha256: str,
         notes: Sequence[str],
-        adaptive: Optional[AdaptiveConfig] = None,
+        adaptive: Optional[AdaptiveSpec] = None,
         static_units: Optional[List[Dict[str, str]]] = None,
+        submit: Optional[SubmitFn] = None,
     ) -> None:
         self.id = campaign_id
         self.spec = spec
@@ -391,6 +284,7 @@ class Campaign:
         self.notes = list(notes)
         self.adaptive = adaptive
         self.static_units = list(static_units or [])
+        self._submit = submit
         self.cells: Dict[CellKey, CellRun] = {}
         self.intervals: List[RefinementInterval] = []
         self.done = False
@@ -428,10 +322,10 @@ class Campaign:
 
     # -- planning ------------------------------------------------------
 
-    def submit_base_wave(self, submit: SubmitFn) -> None:
+    def submit_base_wave(self) -> None:
         """Submit every base cell's batch chain (campaign creation)."""
         for cell in self._base_cells:
-            self._submit_cell_chain(cell, probe=False, submit=submit)
+            self._submit_cell_chain(cell, probe=False)
 
     def all_job_ids(self) -> List[str]:
         """Every job id this campaign has submitted (chain order)."""
@@ -440,11 +334,9 @@ class Campaign:
             ids.extend(run.job_ids)
         return ids
 
-    def _submit_cell_chain(
-        self, cell: CampaignCell, probe: bool, submit: SubmitFn
-    ) -> CellRun:
+    def _submit_cell_chain(self, cell: CampaignCell, probe: bool) -> CellRun:
         """Submit one cell's dependency-chained batch jobs."""
-        assert self.adaptive is not None
+        assert self.adaptive is not None and self._submit is not None
         sizes = self.adaptive.batch_sizes()
         job_ids: List[str] = []
         offset = 0
@@ -453,7 +345,7 @@ class Campaign:
                 self.spec, cell, trials=size, trial_offset=offset
             )
             parents = [job_ids[-1]] if job_ids else None
-            job_ids.append(submit(request, parents))
+            job_ids.append(self._submit(request, parents))
             offset += size
         run = CellRun(
             cell=cell, job_ids=job_ids, batch_trials=list(sizes), probe=probe
@@ -463,12 +355,7 @@ class Campaign:
 
     # -- the controller loop -------------------------------------------
 
-    def step(
-        self,
-        store: JobStore,
-        submit: SubmitFn,
-        notify: Optional[NotifyFn] = None,
-    ) -> None:
+    def step(self, store: JobStore, notify: Optional[NotifyFn] = None) -> None:
         """One controller tick: consume finished batches, early-stop
         converged cells, advance refinement, detect completion.
         *notify* receives progress events (cell settled, probe wave
@@ -478,7 +365,7 @@ class Campaign:
         self._notify = notify if notify is not None else _no_notify
         for run in list(self.cells.values()):
             self._advance_cell(run, store)
-        self._advance_refinement(store, submit)
+        self._advance_refinement(store)
         if all(run.settled for run in self.cells.values()) and all(
             interval.state != "probing" for interval in self.intervals
         ):
@@ -596,7 +483,7 @@ class Campaign:
             entries.append((technique, run.stats.mean, run.infeasible))
         return _best_of(entries)
 
-    def _advance_refinement(self, store: JobStore, submit: SubmitFn) -> None:
+    def _advance_refinement(self, store: JobStore) -> None:
         """Kick off and advance crossover bisection."""
         assert self.adaptive is not None
         if self.adaptive.refine_depth < 1:
@@ -614,7 +501,7 @@ class Campaign:
             self._refined_values.add(value)
             for lo, hi in zip(self.base_fractions, self.base_fractions[1:]):
                 self._maybe_probe(
-                    value, lo, hi, self.adaptive.refine_depth, store, submit
+                    value, lo, hi, self.adaptive.refine_depth, store
                 )
         for interval in self.intervals:
             if interval.state != "probing":
@@ -639,7 +526,6 @@ class Campaign:
                         interval.probe_fraction,
                         interval.depth - 1,
                         store,
-                        submit,
                     )
                 if best_probe != self._best(interval.axis_value, interval.hi):
                     self._maybe_probe(
@@ -648,7 +534,6 @@ class Campaign:
                         interval.hi,
                         interval.depth - 1,
                         store,
-                        submit,
                     )
 
     def _maybe_probe(
@@ -658,7 +543,6 @@ class Campaign:
         hi: float,
         depth: int,
         store: JobStore,
-        submit: SubmitFn,
     ) -> None:
         """Submit a probe wave inside ``(lo, hi)`` when its endpoints
         disagree on the best technique and the bracket is wider than
@@ -695,7 +579,7 @@ class Campaign:
                 cell = CampaignCell(
                     axis_value=axis_value, fraction=probe, technique=technique
                 )
-                run = self._submit_cell_chain(cell, probe=True, submit=submit)
+                run = self._submit_cell_chain(cell, probe=True)
                 submitted.extend(run.job_ids)
         except Exception as exc:
             # Roll the half-submitted wave back; refinement is
@@ -809,7 +693,7 @@ class Campaign:
             "spec_sha256": self.sha256,
             "notes": list(self.notes),
             "adaptive": (
-                self.adaptive.to_payload()
+                asdict(self.adaptive)
                 if self.adaptive is not None
                 else None
             ),
@@ -917,16 +801,11 @@ class CampaignRegistry:
                 raise UnknownCampaign(campaign_id) from None
             return campaign.status(store)
 
-    def step_all(
-        self,
-        store: JobStore,
-        submit: SubmitFn,
-        notify: Optional[NotifyFn] = None,
-    ) -> None:
+    def step_all(self, store: JobStore, notify: Optional[NotifyFn] = None) -> None:
         """One controller tick over every adaptive campaign."""
         with self._lock:
             for campaign in self._campaigns.values():
-                campaign.step(store, submit, notify=notify)
+                campaign.step(store, notify=notify)
 
     def pending(self) -> bool:
         """Whether any adaptive campaign still has work in flight."""

@@ -266,8 +266,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        db_path=args.db,
-        store_url=args.store,
+        db_path=args.store,
         queue_limit=args.queue_limit,
         cache_max_mb=args.max_mb,
         cache_prune_interval_s=args.prune_interval_s,
@@ -277,7 +276,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service.start()
     print(
         f"repro service listening on {service.url} "
-        f"(db {config.store_url or config.db_path}, "
+        f"(store {config.db_path}, "
         f"{config.workers} workers)",
         flush=True,
     )
@@ -1251,12 +1250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads draining the job queue (0 = accept only)",
     )
     service.add_argument(
-        "--db",
-        default="results/service.db",
-        metavar="PATH",
-        help="SQLite job-store path (survives restarts)",
-    )
-    service.add_argument(
         "--queue-limit",
         type=_positive_int,
         default=256,
@@ -1295,11 +1288,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--store",
-        default=None,
+        default="results/service.db",
         metavar="URL",
         help=(
-            "job-store backend URL for 'repro serve' "
-            "(e.g. sqlite://results/service.db; wins over --db)"
+            "job store of 'repro serve': a backend URL "
+            "(sqlite://results/service.db) or a bare SQLite path; "
+            "survives restarts"
         ),
     )
     service.add_argument(
@@ -1416,8 +1410,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         return 0
     except ValueError as exc:
-        # RequestError, ValidationError, bad parameter combinations:
-        # one line on stderr, non-zero exit, no traceback.
+        # InputError (every malformed-input error: scenario, request,
+        # job, trace, curve) and bad parameter combinations: one line
+        # on stderr, exit 2, no traceback.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

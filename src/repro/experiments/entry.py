@@ -10,9 +10,9 @@ the CLI and the service worker call nothing else — so a job submitted
 over HTTP is guaranteed byte-identical to the equivalent direct CLI
 invocation (same seeds, same cache keys, same serializer).
 
-Request validation is strict and raises :class:`RequestError` with a
-one-line message; the CLI turns that into a non-zero exit and the HTTP
-API into a 400 response.
+Request validation is strict and raises :class:`RequestError` (an
+:class:`~repro.inputs.InputError`) with a one-line message; the CLI
+turns that into exit 2 and the HTTP API into a 400 response.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.parallel import ExecutorOptions
+from repro.inputs import Fields, InputError
 
 #: Figure drivers that produce a :class:`ScalingStudyResult`.
 SCALING_FIGS = ("fig1", "fig2", "fig3")
@@ -52,7 +53,7 @@ SWEEP_GRIDS: Dict[str, Tuple] = {
 }
 
 
-class RequestError(ValueError):
+class RequestError(InputError):
     """A structurally invalid :class:`StudyRequest` (bad name, range,
     or combination); the message is a single human-readable line."""
 
@@ -125,13 +126,9 @@ class StudyRequest:
                     "experiment 'scenario' requires the 'scenario' field "
                     "(the canonical JSON spec)"
                 )
-            from repro.scenarios.errors import ScenarioError
             from repro.scenarios.schema import scenario_from_json
 
-            try:
-                spec = scenario_from_json(self.scenario)
-            except ScenarioError as exc:
-                raise RequestError(str(exc)) from None
+            spec = scenario_from_json(self.scenario, source="scenario")
             if spec.failures.regime == "trace" and self.trace is None:
                 raise RequestError(
                     "trace-replay scenarios require the embedded 'trace' "
@@ -199,48 +196,43 @@ class StudyRequest:
         return payload
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "StudyRequest":
-        """Build and validate a request from a plain dict.
+    def from_payload(cls, payload: Any) -> "StudyRequest":
+        """Build and validate a request from a plain dict; unknown keys
+        and mistyped values raise :class:`RequestError`."""
+        fields = Fields(payload, error=RequestError)
+        request = cls.from_fields(fields)
+        fields.finish()
+        return request
 
-        Unknown keys and mistyped values raise :class:`RequestError`
-        (the HTTP API's 400 path), never a bare ``TypeError``.
-        """
-        if not isinstance(payload, dict):
-            raise RequestError("request payload must be a JSON object")
-        data = dict(payload)
-        experiment = data.pop("experiment", None)
-        if not isinstance(experiment, str):
-            raise RequestError("missing required string field 'experiment'")
-        known = {
-            "format": str,
-            "trials": int,
-            "patterns": int,
-            "quick": bool,
-            "fraction": (int, float),
-            "mtbf_years": (int, float),
-            "sweep": str,
-            "scenario": str,
-            "trace": str,
-            "grid_traces": str,
-            "trial_offset": int,
-        }
-        kwargs: Dict[str, Any] = {}
-        for name, value in data.items():
-            if name not in known:
-                raise RequestError(f"unknown request field {name!r}")
-            expected = known[name]
-            if isinstance(value, bool) and expected is int:
-                raise RequestError(f"field {name!r} must be an integer")
-            if not isinstance(value, expected):
-                raise RequestError(
-                    f"field {name!r} has the wrong type "
-                    f"({type(value).__name__})"
-                )
-            if name in ("fraction", "mtbf_years"):
-                value = float(value)
-            kwargs[name] = value
-        request = cls(experiment=experiment, **kwargs)
+    @classmethod
+    def from_fields(cls, fields: Fields) -> "StudyRequest":
+        """Take a request's keys off *fields* (the caller finishes the
+        cursor) and validate it.  The embedded trace and grid-curve
+        documents are decoded here too, so a request accepted at a
+        boundary also loads on the worker that runs it."""
+        request = cls(
+            experiment=fields.take("experiment", "str", required=True),
+            format=fields.take("format", "str", cls.format),
+            trials=fields.take("trials", "int", cls.trials),
+            patterns=fields.take("patterns", "int", cls.patterns),
+            quick=fields.take("quick", "bool", cls.quick),
+            fraction=fields.take("fraction", "float", cls.fraction),
+            mtbf_years=fields.take("mtbf_years", "float", cls.mtbf_years),
+            sweep=fields.take("sweep", "str", cls.sweep),
+            scenario=fields.take("scenario", "str"),
+            trace=fields.take("trace", "str"),
+            grid_traces=fields.take("grid_traces", "str"),
+            trial_offset=fields.take("trial_offset", "int", cls.trial_offset),
+        )
         request.validate()
+        if request.trace is not None:
+            from repro.failures.trace import trace_from_jsonl
+
+            trace_from_jsonl(request.trace, source="trace")
+        if request.grid_traces is not None:
+            from repro.scenarios.compiler import decode_grid_traces
+
+            decode_grid_traces(request.grid_traces)
         return request
 
 

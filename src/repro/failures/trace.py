@@ -23,8 +23,6 @@ replays bit-identically to the recorded one at any node count.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
@@ -33,6 +31,7 @@ import numpy as np
 
 from repro.failures.generator import Failure
 from repro.failures.severity import SeverityModel
+from repro.inputs import Fields, InputError, VersionedJsonl
 from repro.rng.distributions import exponential
 
 
@@ -155,47 +154,55 @@ TRACE_FORMAT = "repro-failure-trace"
 TRACE_FORMAT_VERSION = 1
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(InputError):
     """A malformed or version-skewed trace file; one-line message."""
+
+
+def _record(fields: Fields) -> TracedFailure:
+    return TracedFailure(
+        time=fields.take("t", "float", required=True),
+        location_u=fields.take("u", "float", required=True),
+        severity=fields.take("s", "int", required=True),
+    )
+
+
+def _build(header: Fields, failures: List[TracedFailure]) -> FailureTrace:
+    return FailureTrace(
+        unit_rate=header.take("unit_rate", "float", required=True),
+        horizon_s=header.take("horizon_s", "float", required=True),
+        failures=tuple(failures),
+    )
+
+
+_JSONL = VersionedJsonl(
+    TRACE_FORMAT,
+    TRACE_FORMAT_VERSION,
+    "failures",
+    "trace",
+    TraceFormatError,
+    _record,
+    _build,
+)
 
 
 def trace_to_jsonl(trace: FailureTrace) -> str:
     """The canonical JSONL text of *trace* (what :func:`save_trace`
     writes); stable byte-for-byte for equal traces."""
-    lines = [
-        json.dumps(
-            {
-                "format": TRACE_FORMAT,
-                "version": TRACE_FORMAT_VERSION,
-                "unit_rate": trace.unit_rate,
-                "horizon_s": trace.horizon_s,
-                "failures": len(trace),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for f in trace.failures:
-        lines.append(
-            json.dumps(
-                {"t": f.time, "u": f.location_u, "s": f.severity},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _JSONL.dumps(
+        {"unit_rate": trace.unit_rate, "horizon_s": trace.horizon_s},
+        [{"t": f.time, "u": f.location_u, "s": f.severity} for f in trace.failures],
+    )
 
 
 def trace_digest(trace: FailureTrace) -> str:
     """SHA-256 of the canonical JSONL text — the trace's identity for
     cache keys and provenance stamps."""
-    return hashlib.sha256(trace_to_jsonl(trace).encode("utf-8")).hexdigest()
+    return _JSONL.digest(trace_to_jsonl(trace))
 
 
 def save_trace(trace: FailureTrace, path: "os.PathLike | str") -> None:
     """Write *trace* to *path* in the versioned JSONL format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_jsonl(trace))
+    _JSONL.save(trace_to_jsonl(trace), path)
 
 
 def trace_from_jsonl(text: str, source: str = "<trace>") -> FailureTrace:
@@ -207,49 +214,7 @@ def trace_from_jsonl(text: str, source: str = "<trace>") -> FailureTrace:
     validator surfaces it field-qualified); *source* names the origin
     in the message.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise TraceFormatError(f"{source}: empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"{source}: header is not valid JSON: {exc}")
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise TraceFormatError(
-            f"{source}: not a {TRACE_FORMAT} file (missing format header)"
-        )
-    if header.get("version") != TRACE_FORMAT_VERSION:
-        raise TraceFormatError(
-            f"{source}: trace format version {header.get('version')!r} "
-            f"unsupported (expected {TRACE_FORMAT_VERSION})"
-        )
-    declared = header.get("failures")
-    if not isinstance(declared, int) or declared != len(lines) - 1:
-        raise TraceFormatError(
-            f"{source}: header declares {declared!r} failures "
-            f"but the file holds {len(lines) - 1} (truncated?)"
-        )
-    failures: List[TracedFailure] = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-            failures.append(
-                TracedFailure(
-                    time=float(record["t"]),
-                    location_u=float(record["u"]),
-                    severity=int(record["s"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"{source}: line {number}: bad record: {exc}")
-    try:
-        return FailureTrace(
-            unit_rate=float(header["unit_rate"]),
-            horizon_s=float(header["horizon_s"]),
-            failures=tuple(failures),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceFormatError(f"{source}: invalid trace: {exc}")
+    return _JSONL.loads(text, source)
 
 
 def load_trace(path: "os.PathLike | str") -> FailureTrace:
@@ -258,9 +223,4 @@ def load_trace(path: "os.PathLike | str") -> FailureTrace:
     Raises :class:`TraceFormatError` with a one-line message on any
     unreadable file or malformed content.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read trace file: {exc}") from None
-    return trace_from_jsonl(text, source=str(path))
+    return _JSONL.load(path)

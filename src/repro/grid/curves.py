@@ -36,12 +36,12 @@ which role an instance plays).
 from __future__ import annotations
 
 import abc
-import hashlib
-import json
 import math
 import os
 from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.inputs import Fields, InputError, VersionedJsonl
 
 #: Joules per kilowatt-hour (the bridge between the engine's
 #: node-second energy accounting and grid tariffs).
@@ -365,7 +365,7 @@ class TraceCurve(PiecewiseCurve):
 
 
 # ---------------------------------------------------------------------------
-# Versioned JSONL persistence (mirrors repro.failures.trace)
+# Versioned JSONL persistence (the shared codec of repro.inputs)
 # ---------------------------------------------------------------------------
 
 #: Format marker in the header record of every curve file.
@@ -376,40 +376,53 @@ CURVE_FORMAT = "repro-grid-curve"
 CURVE_FORMAT_VERSION = 1
 
 
-class CurveFormatError(ValueError):
+class CurveFormatError(InputError):
     """A malformed or version-skewed curve file; one-line message."""
+
+
+def _record(fields: Fields) -> Tuple[float, float]:
+    t = fields.take("t", "float", required=True)
+    return t, fields.take("v", "float", required=True)
+
+
+def _build(header: Fields, points: List[Tuple[float, float]]) -> TraceCurve:
+    return TraceCurve(
+        times_s=[t for t, _ in points],
+        levels=[v for _, v in points],
+        period_s=header.take("period_s", "float"),
+        unit=header.take("unit", "str", ""),
+    )
+
+
+_JSONL = VersionedJsonl(
+    CURVE_FORMAT,
+    CURVE_FORMAT_VERSION,
+    "points",
+    "curve",
+    CurveFormatError,
+    _record,
+    _build,
+)
 
 
 def curve_to_jsonl(curve: TraceCurve) -> str:
     """The canonical JSONL text of *curve* (what :func:`save_curve`
     writes); stable byte-for-byte for equal curves."""
-    header: Dict[str, Any] = {
-        "format": CURVE_FORMAT,
-        "version": CURVE_FORMAT_VERSION,
-        "unit": curve.unit,
-        "period_s": curve.period_s,
-        "points": len(curve.times_s),
-    }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for t, v in zip(curve.times_s, curve.levels):
-        lines.append(
-            json.dumps(
-                {"t": t, "v": v}, sort_keys=True, separators=(",", ":")
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _JSONL.dumps(
+        {"unit": curve.unit, "period_s": curve.period_s},
+        [{"t": t, "v": v} for t, v in zip(curve.times_s, curve.levels)],
+    )
 
 
 def curve_digest(curve: TraceCurve) -> str:
     """SHA-256 of the canonical JSONL text — the curve's identity for
     cache keys and provenance stamps."""
-    return hashlib.sha256(curve_to_jsonl(curve).encode("utf-8")).hexdigest()
+    return _JSONL.digest(curve_to_jsonl(curve))
 
 
 def save_curve(curve: TraceCurve, path: "os.PathLike | str") -> None:
     """Write *curve* to *path* in the versioned JSONL format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(curve_to_jsonl(curve))
+    _JSONL.save(curve_to_jsonl(curve), path)
 
 
 def curve_from_jsonl(text: str, source: str = "<curve>") -> TraceCurve:
@@ -421,47 +434,7 @@ def curve_from_jsonl(text: str, source: str = "<curve>") -> TraceCurve:
     validator surfaces it field-qualified); *source* names the origin
     in the message.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise CurveFormatError(f"{source}: empty curve file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CurveFormatError(f"{source}: header is not valid JSON: {exc}")
-    if not isinstance(header, dict) or header.get("format") != CURVE_FORMAT:
-        raise CurveFormatError(
-            f"{source}: not a {CURVE_FORMAT} file (missing format header)"
-        )
-    if header.get("version") != CURVE_FORMAT_VERSION:
-        raise CurveFormatError(
-            f"{source}: curve format version {header.get('version')!r} "
-            f"unsupported (expected {CURVE_FORMAT_VERSION})"
-        )
-    declared = header.get("points")
-    if not isinstance(declared, int) or declared != len(lines) - 1:
-        raise CurveFormatError(
-            f"{source}: header declares {declared!r} points "
-            f"but the file holds {len(lines) - 1} (truncated?)"
-        )
-    times: List[float] = []
-    levels: List[float] = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-            times.append(float(record["t"]))
-            levels.append(float(record["v"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CurveFormatError(f"{source}: line {number}: bad record: {exc}")
-    period = header.get("period_s")
-    try:
-        return TraceCurve(
-            times_s=times,
-            levels=levels,
-            period_s=None if period is None else float(period),
-            unit=str(header.get("unit", "")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CurveFormatError(f"{source}: invalid curve: {exc}")
+    return _JSONL.loads(text, source)
 
 
 def load_curve(path: "os.PathLike | str") -> TraceCurve:
@@ -470,12 +443,7 @@ def load_curve(path: "os.PathLike | str") -> TraceCurve:
     Raises :class:`CurveFormatError` with a one-line message on any
     unreadable file or malformed content.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CurveFormatError(f"cannot read curve file: {exc}") from None
-    return curve_from_jsonl(text, source=str(path))
+    return _JSONL.load(path)
 
 
 #: Semantic aliases: a *price* curve is any :class:`Curve` in USD/kWh,

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.constants import SCALING_STUDY_FRACTIONS, SCALING_STUDY_TRIALS
 from repro.experiments.entry import StudyRequest
 from repro.failures.trace import TraceFormatError, load_trace, trace_to_jsonl
+from repro.inputs import Fields, decode_json
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.spec import (
     ScenarioSpec,
@@ -39,6 +40,9 @@ from repro.scenarios.spec import (
     canonical_json,
     spec_sha256,
 )
+
+if TYPE_CHECKING:
+    from repro.grid.curves import TraceCurve
 
 #: (app_type, mtbf_years) pairs that are one of the paper's scaling
 #: figures when every other knob is at its paper default.
@@ -156,6 +160,22 @@ def _load_grid_traces(spec: ScenarioSpec) -> Optional[str]:
     if not out:
         return None
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+def decode_grid_traces(text: str) -> Dict[str, "TraceCurve"]:
+    """The curves of an embedded ``grid_traces`` object (the inverse of
+    :func:`_load_grid_traces`), by role.  Raises
+    :class:`~repro.inputs.InputError` on anything malformed."""
+    from repro.grid.curves import curve_from_jsonl
+
+    fields = Fields(decode_json(text, "grid_traces"), "grid_traces")
+    curves = {}
+    for role in ("price", "carbon"):
+        body = fields.take(role, "str")
+        if body is not None:
+            curves[role] = curve_from_jsonl(body, source=f"grid_traces.{role}")
+    fields.finish()
+    return curves
 
 
 def compile_scenario(

@@ -3,41 +3,26 @@
 Every schema violation raises :class:`ScenarioError` carrying the
 dotted path of the offending field (``failures.regime``) and a
 human-readable reason; ``str(exc)`` is the single line the CLI prints
-(exit 2, no traceback) and the HTTP API returns as a 400 body,
-matching the service's error conventions.
+(exit 2, no traceback) and the HTTP API returns as a 400 body.  It is
+the scenario boundary's :class:`~repro.inputs.InputError`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.inputs import InputError
 
-class ScenarioError(ValueError):
+
+class ScenarioError(InputError):
     """A structurally invalid scenario spec.
 
-    Parameters
-    ----------
-    path:
-        Dotted field path of the offending value (``""`` for document-
-        level problems such as a non-table top level).
-    message:
-        Why the value is invalid, including what was expected.
-    source:
-        The file (or other origin) being parsed, prepended when known.
+    Takes the field *path* first, the order the schema reports in;
+    ``path`` is ``""`` for document-level problems such as a
+    non-table top level.
     """
 
     def __init__(
-        self, path: str, message: str, source: Optional[str] = None
+        self, path: str, reason: str, source: Optional[str] = None
     ) -> None:
-        self.path = path
-        self.reason = message
-        self.source = source
-        where = f"field '{path}': " if path else ""
-        prefix = f"{source}: " if source else ""
-        super().__init__(f"{prefix}{where}{message}")
-
-    def with_source(self, source: str) -> "ScenarioError":
-        """The same error, annotated with its originating file."""
-        if self.source is not None:
-            return self
-        return ScenarioError(self.path, self.reason, source=source)
+        super().__init__(reason, path, source)

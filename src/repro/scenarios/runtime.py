@@ -45,7 +45,6 @@ from repro.grid.curves import (
     SinusoidalCurve,
     TraceCurve,
     curve_digest,
-    curve_from_jsonl,
 )
 from repro.experiments.barchart import scaling_barchart
 from repro.experiments.config import ScalingStudyConfig
@@ -73,7 +72,7 @@ from repro.failures.trace import FailureTrace, trace_digest, trace_from_jsonl
 from repro.obs import counters as obs_counters
 from repro.platform.presets import exascale_system
 from repro.resilience.registry import get_technique, scaling_study_techniques
-from repro.scenarios.compiler import scenario_analytic_reason
+from repro.scenarios.compiler import decode_grid_traces, scenario_analytic_reason
 from repro.scenarios.schema import scenario_from_json
 from repro.scenarios.spec import ScenarioSpec, spec_sha256, spec_to_dict
 from repro.units import MINUTE, years
@@ -175,7 +174,9 @@ class GridContext:
         return ";".join(parts) if parts else None
 
 
-def _grid_curve(cspec, unit: str, traces: Optional[Dict[str, str]], role: str):
+def _grid_curve(
+    cspec, unit: str, traces: Optional[Dict[str, TraceCurve]], role: str
+):
     """Build the runtime curve for one ``CurveSpec`` (or None)."""
     if cspec is None:
         return None
@@ -206,7 +207,7 @@ def _grid_curve(cspec, unit: str, traces: Optional[Dict[str, str]], role: str):
             f"scenario grid.{role} replays a trace curve but no "
             f"embedded grid_traces entry was provided for it"
         )
-    return curve_from_jsonl(traces[role], source=f"<grid_traces:{role}>")
+    return traces[role]
 
 
 def grid_context(
@@ -218,12 +219,10 @@ def grid_context(
     role to canonical JSONL, required exactly when a curve has kind
     ``"trace"``.
     """
-    import json
-
     grid = spec.grid
     if grid is None:
         raise ValueError("scenario has no [grid] section")
-    traces = json.loads(grid_traces) if grid_traces is not None else None
+    traces = decode_grid_traces(grid_traces) if grid_traces is not None else None
     default = PowerModel()
     busy_w = grid.busy_w if grid.busy_w is not None else default.busy_w
     # An explicit busy_w below the default idle draw would otherwise

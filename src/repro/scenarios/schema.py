@@ -10,6 +10,14 @@ regime, a sweep over a trace replay, a datacenter study outside the
 paper's failure environment) are enforced here too — the compiler and
 runtime may assume a parsed spec is coherent.
 
+Both steps of reading the untrusted document come from the shared
+toolkit :mod:`repro.inputs`: its decoders turn invalid UTF-8, syntax
+errors and over-deep nesting into one error, and every section is read
+off its closed-key :class:`~repro.inputs.Fields` cursor, whose number
+kinds reject NaN and infinities.  :func:`parse_adaptive` is the one
+parser of adaptive-campaign settings, used for the ``[adaptive]``
+section and for the ``adaptive`` override of ``POST /v1/campaigns``.
+
 Error style follows the service conventions: a single
 :class:`~repro.scenarios.errors.ScenarioError` line, qualified with
 the dotted field path and the accepted values.
@@ -17,12 +25,11 @@ the dotted field path and the accepted values.
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import tomllib
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
+from repro.inputs import Fields, decode_json, decode_toml, read_text
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.spec import (
     CURVE_KINDS,
@@ -52,166 +59,33 @@ PLATFORM_PRESETS = ("exascale",)
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
-class _Section:
-    """A cursor over one table that tracks consumed keys.
-
-    ``take`` pops one typed value; ``finish`` rejects whatever is
-    left — the mechanism behind the closed-schema guarantee.
-    """
-
-    def __init__(self, mapping: Dict[str, Any], path: str) -> None:
-        self._data = dict(mapping)
-        self._path = path
-
-    def _at(self, key: str) -> str:
-        return f"{self._path}.{key}" if self._path else key
-
-    def take(
-        self,
-        key: str,
-        kind: str,
-        default: Any = None,
-        required: bool = False,
-    ) -> Any:
-        if key not in self._data:
-            if required:
-                raise ScenarioError(
-                    self._at(key), f"missing required {kind} value"
-                )
-            return default
-        value = self._data.pop(key)
-        return _coerce(value, kind, self._at(key))
-
-    def finish(self) -> None:
-        if self._data:
-            key = sorted(self._data)[0]
-            raise ScenarioError(self._at(key), "unknown key")
-
-
-def _coerce(value: Any, kind: str, path: str) -> Any:
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ScenarioError(path, f"expected a string, got {_describe(value)}")
-        return value
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(
-                path, f"expected an integer, got {_describe(value)}"
-            )
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(path, f"expected a number, got {_describe(value)}")
-        return float(value)
-    if kind == "list[float]":
-        if not isinstance(value, (list, tuple)):
-            raise ScenarioError(
-                path, f"expected an array of numbers, got {_describe(value)}"
-            )
-        out: List[float] = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ScenarioError(
-                    f"{path}[{i}]", f"expected a number, got {_describe(item)}"
-                )
-            out.append(float(item))
-        return out
-    if kind == "list[str]":
-        if not isinstance(value, (list, tuple)):
-            raise ScenarioError(
-                path, f"expected an array of strings, got {_describe(value)}"
-            )
-        for i, item in enumerate(value):
-            if not isinstance(item, str):
-                raise ScenarioError(
-                    f"{path}[{i}]", f"expected a string, got {_describe(item)}"
-                )
-        return list(value)
-    raise AssertionError(f"unknown kind {kind!r}")  # pragma: no cover
-
-
-def _describe(value: Any) -> str:
-    if isinstance(value, bool):
-        return f"boolean {value}"
-    if isinstance(value, (int, float)):
-        return f"number {value!r}"
-    if isinstance(value, str):
-        return f"string {value!r}"
-    if isinstance(value, (list, tuple)):
-        return "an array"
-    if isinstance(value, dict):
-        return "a table"
-    return type(value).__name__
-
-
-def _table(data: Dict[str, Any], key: str, required: bool = False) -> Optional[Dict]:
-    if key not in data:
-        if required:
-            raise ScenarioError(key, "missing required section")
-        return None
-    value = data[key]
-    if not isinstance(value, dict):
-        raise ScenarioError(key, f"expected a table, got {_describe(value)}")
-    return value
-
-
-def _choice(value: str, allowed: Tuple[str, ...], path: str, noun: str) -> str:
-    if value not in allowed:
-        raise ScenarioError(
-            path,
-            f"unknown {noun} {value!r} (choose from {', '.join(allowed)})",
-        )
-    return value
-
-
-def _parse_meta(data: Dict[str, Any]) -> ScenarioMeta:
-    section = _Section(data, "scenario")
-    name = section.take("name", "str", required=True)
-    if not _NAME_RE.fullmatch(name):
-        raise ScenarioError(
-            "scenario.name",
-            f"invalid name {name!r} (letters, digits, '.', '_', '-';"
-            " must start with a letter or digit)",
-        )
+def _parse_meta(data: Any) -> ScenarioMeta:
+    section = Fields(data, "scenario", ScenarioError)
     meta = ScenarioMeta(
-        name=name,
-        title=section.take("title", "str", default=""),
-        description=section.take("description", "str", default=""),
+        name=section.take("name", "str", required=True, pattern=_NAME_RE),
+        title=section.take("title", "str", ""),
+        description=section.take("description", "str", ""),
     )
     section.finish()
     return meta
 
 
-def _parse_platform(data: Optional[Dict[str, Any]]) -> PlatformSpec:
+def _parse_platform(data: Any) -> PlatformSpec:
     if data is None:
         return PlatformSpec()
-    section = _Section(data, "platform")
-    preset = _choice(
-        section.take("preset", "str", default="exascale"),
-        PLATFORM_PRESETS,
-        "platform.preset",
-        "platform preset",
-    )
-    total_nodes = section.take("total_nodes", "int")
-    if total_nodes is not None and total_nodes < 2:
-        raise ScenarioError(
-            "platform.total_nodes", f"must be >= 2, got {total_nodes}"
-        )
+    section = Fields(data, "platform", ScenarioError)
+    preset = section.take("preset", "str", "exascale", choices=PLATFORM_PRESETS)
+    total_nodes = section.take("total_nodes", "int", lo=2)
     section.finish()
     return PlatformSpec(preset=preset, total_nodes=total_nodes)
 
 
-def _parse_failures(data: Optional[Dict[str, Any]]) -> FailureSpec:
+def _parse_failures(data: Any) -> FailureSpec:
     if data is None:
         return FailureSpec()
-    section = _Section(data, "failures")
-    regime = _choice(
-        section.take("regime", "str", default="poisson"),
-        REGIMES,
-        "failures.regime",
-        "regime",
-    )
-    mtbf_years = section.take("mtbf_years", "float", default=10.0)
+    section = Fields(data, "failures", ScenarioError)
+    regime = section.take("regime", "str", "poisson", choices=REGIMES)
+    mtbf_years = section.take("mtbf_years", "float", 10.0)
     if mtbf_years <= 0:
         raise ScenarioError(
             "failures.mtbf_years", f"must be > 0, got {mtbf_years:g}"
@@ -295,20 +169,15 @@ def _parse_failures(data: Optional[Dict[str, Any]]) -> FailureSpec:
     )
 
 
-def _parse_workload(data: Optional[Dict[str, Any]]) -> WorkloadSpec:
+def _parse_workload(data: Any) -> WorkloadSpec:
     if data is None:
         return WorkloadSpec()
-    section = _Section(data, "workload")
-    study = _choice(
-        section.take("study", "str", default="scaling"),
-        STUDIES,
-        "workload.study",
-        "study",
-    )
+    section = Fields(data, "workload", ScenarioError)
+    study = section.take("study", "str", "scaling", choices=STUDIES)
     app_type = section.take("app_type", "str")
     fractions_raw = section.take("fractions", "list[float]")
-    mode = section.take("mode", "str")
-    patterns = section.take("patterns", "int")
+    mode = section.take("mode", "str", choices=DATACENTER_MODES)
+    patterns = section.take("patterns", "int", lo=1)
     section.finish()
 
     if study == "scaling":
@@ -355,21 +224,17 @@ def _parse_workload(data: Optional[Dict[str, Any]]) -> WorkloadSpec:
         raise ScenarioError(
             "workload.fractions", "only valid for study 'scaling'"
         )
-    mode = _choice(
-        mode if mode is not None else "techniques",
-        DATACENTER_MODES,
-        "workload.mode",
-        "datacenter mode",
+    return WorkloadSpec(
+        study="datacenter",
+        mode=mode if mode is not None else "techniques",
+        patterns=patterns,
     )
-    if patterns is not None and patterns < 1:
-        raise ScenarioError("workload.patterns", f"must be >= 1, got {patterns}")
-    return WorkloadSpec(study="datacenter", mode=mode, patterns=patterns)
 
 
-def _parse_techniques(data: Optional[Dict[str, Any]]) -> Optional[Tuple[str, ...]]:
+def _parse_techniques(data: Any) -> Optional[Tuple[str, ...]]:
     if data is None:
         return None
-    section = _Section(data, "techniques")
+    section = Fields(data, "techniques", ScenarioError)
     names = section.take("names", "list[str]", required=True)
     section.finish()
     if not names:
@@ -389,16 +254,11 @@ def _parse_techniques(data: Optional[Dict[str, Any]]) -> Optional[Tuple[str, ...
     return tuple(names)
 
 
-def _parse_sweep(data: Optional[Dict[str, Any]]) -> Optional[SweepSpec]:
+def _parse_sweep(data: Any) -> Optional[SweepSpec]:
     if data is None:
         return None
-    section = _Section(data, "sweep")
-    axis = _choice(
-        section.take("axis", "str", required=True),
-        SWEEP_AXES,
-        "sweep.axis",
-        "sweep axis",
-    )
+    section = Fields(data, "sweep", ScenarioError)
+    axis = section.take("axis", "str", required=True, choices=SWEEP_AXES)
     values = section.take("values", "list[float]", required=True)
     section.finish()
     if not values:
@@ -419,54 +279,42 @@ def _parse_sweep(data: Optional[Dict[str, Any]]) -> Optional[SweepSpec]:
     return SweepSpec(axis=axis, values=tuple(values))
 
 
-def _parse_run(data: Optional[Dict[str, Any]]) -> RunSpec:
+def _parse_run(data: Any) -> RunSpec:
     if data is None:
         return RunSpec()
-    section = _Section(data, "run")
-    trials = section.take("trials", "int")
-    if trials is not None and trials < 1:
-        raise ScenarioError("run.trials", f"must be >= 1, got {trials}")
-    seed = section.take("seed", "int", default=2017)
-    fmt = _choice(
-        section.take("format", "str", default="table"),
-        SCENARIO_FORMATS,
-        "run.format",
-        "format",
+    section = Fields(data, "run", ScenarioError)
+    run = RunSpec(
+        trials=section.take("trials", "int", lo=1),
+        seed=section.take("seed", "int", 2017),
+        format=section.take("format", "str", "table", choices=SCENARIO_FORMATS),
     )
     section.finish()
-    return RunSpec(trials=trials, seed=seed, format=fmt)
+    return run
 
 
-def _parse_adaptive(data: Optional[Dict[str, Any]]) -> Optional[AdaptiveSpec]:
-    if data is None:
-        return None
-    section = _Section(data, "adaptive")
-    max_trials = section.take("max_trials", "int", default=200)
-    if max_trials < 2:
-        raise ScenarioError(
-            "adaptive.max_trials", f"must be >= 2, got {max_trials}"
-        )
-    batch_size = section.take("batch_size", "int", default=25)
-    if batch_size < 2:
-        raise ScenarioError(
-            "adaptive.batch_size", f"must be >= 2, got {batch_size}"
-        )
+def parse_adaptive(data: Any, defaults: Optional[AdaptiveSpec] = None) -> AdaptiveSpec:
+    """The ``[adaptive]`` section of a scenario — or the ``adaptive``
+    override object of a ``POST /v1/campaigns`` body — read over
+    *defaults* (the spec's own section there; the schema defaults when
+    None), so both inputs obey one set of range rules."""
+    base = defaults if defaults is not None else AdaptiveSpec()
+    section = Fields(data, "adaptive", ScenarioError)
+    max_trials = section.take("max_trials", "int", base.max_trials, lo=2)
+    batch_size = section.take("batch_size", "int", base.batch_size, lo=2)
     if batch_size > max_trials:
         raise ScenarioError(
             "adaptive.batch_size",
             f"must be <= max_trials ({max_trials}), got {batch_size}",
         )
-    ci_rel_threshold = section.take("ci_rel_threshold", "float", default=0.02)
+    ci_rel_threshold = section.take(
+        "ci_rel_threshold", "float", base.ci_rel_threshold
+    )
     if not 0.0 < ci_rel_threshold < 1.0:
         raise ScenarioError(
             "adaptive.ci_rel_threshold",
             f"must be in (0, 1), got {ci_rel_threshold:g}",
         )
-    refine_depth = section.take("refine_depth", "int", default=1)
-    if refine_depth < 0:
-        raise ScenarioError(
-            "adaptive.refine_depth", f"must be >= 0, got {refine_depth}"
-        )
+    refine_depth = section.take("refine_depth", "int", base.refine_depth, lo=0)
     section.finish()
     return AdaptiveSpec(
         max_trials=max_trials,
@@ -481,15 +329,8 @@ def _parse_curve(data: Any, path: str) -> CurveSpec:
 
     Validates every kind's parameters with the same rules the curve
     classes enforce, so a spec that parses always builds."""
-    if not isinstance(data, dict):
-        raise ScenarioError(path, f"expected a table, got {_describe(data)}")
-    section = _Section(data, path)
-    kind = _choice(
-        section.take("kind", "str", required=True),
-        CURVE_KINDS,
-        f"{path}.kind",
-        "curve kind",
-    )
+    section = Fields(data, path, ScenarioError)
+    kind = section.take("kind", "str", required=True, choices=CURVE_KINDS)
     level = section.take("level", "float")
     hours = section.take("hours", "list[float]")
     levels = section.take("levels", "list[float]")
@@ -640,17 +481,14 @@ def _parse_curve(data: Any, path: str) -> CurveSpec:
     return CurveSpec(kind="trace", trace_file=trace_file)
 
 
-def _parse_grid(data: Optional[Dict[str, Any]]) -> Optional[GridSpec]:
+def _parse_grid(data: Any) -> Optional[GridSpec]:
     if data is None:
         return None
-    section = _Section(data, "grid")
-    objective = _choice(
-        section.take("objective", "str", default="efficiency"),
-        GRID_OBJECTIVES,
-        "grid.objective",
-        "objective",
+    section = Fields(data, "grid", ScenarioError)
+    objective = section.take(
+        "objective", "str", "efficiency", choices=GRID_OBJECTIVES
     )
-    start_hour = section.take("start_hour", "float", default=0.0)
+    start_hour = section.take("start_hour", "float", 0.0)
     if not 0.0 <= start_hour < 24.0:
         raise ScenarioError(
             "grid.start_hour", f"must be in [0, 24), got {start_hour:g}"
@@ -668,10 +506,8 @@ def _parse_grid(data: Optional[Dict[str, Any]]) -> Optional[GridSpec]:
                 "grid.idle_w",
                 f"must be <= busy_w ({ceiling:g}), got {idle_w:g}",
             )
-    # The nested curve tables come off the same cursor so finish()
-    # still rejects unknown [grid] keys.
-    raw_price = section._data.pop("price", None)
-    raw_carbon = section._data.pop("carbon", None)
+    raw_price = section.take("price", "mapping")
+    raw_carbon = section.take("carbon", "mapping")
     section.finish()
     price = _parse_curve(raw_price, "grid.price") if raw_price is not None else None
     carbon = (
@@ -851,36 +687,23 @@ def parse_scenario(
     prefixed with *source* when given) on any schema violation.
     """
     try:
-        if not isinstance(data, dict):
-            raise ScenarioError(
-                "", f"scenario document must be a table, got {_describe(data)}"
-            )
-        known = {
-            "scenario",
-            "platform",
-            "failures",
-            "workload",
-            "techniques",
-            "sweep",
-            "run",
-            "adaptive",
-            "grid",
-        }
-        for key in sorted(data):
-            if key not in known:
-                raise ScenarioError(key, "unknown section")
+        doc = Fields(data, error=ScenarioError)
+        adaptive = doc.take("adaptive", "mapping")
         spec = ScenarioSpec(
-            scenario=_parse_meta(_table(data, "scenario", required=True)),
-            platform=_parse_platform(_table(data, "platform")),
-            failures=_parse_failures(_table(data, "failures")),
-            workload=_parse_workload(_table(data, "workload")),
-            techniques=_parse_techniques(_table(data, "techniques")),
-            sweep=_parse_sweep(_table(data, "sweep")),
-            run=_parse_run(_table(data, "run")),
-            adaptive=_parse_adaptive(_table(data, "adaptive")),
-            grid=_parse_grid(_table(data, "grid")),
+            scenario=_parse_meta(doc.take("scenario", "mapping", required=True)),
+            platform=_parse_platform(doc.take("platform", "mapping")),
+            failures=_parse_failures(doc.take("failures", "mapping")),
+            workload=_parse_workload(doc.take("workload", "mapping")),
+            techniques=_parse_techniques(doc.take("techniques", "mapping")),
+            sweep=_parse_sweep(doc.take("sweep", "mapping")),
+            run=_parse_run(doc.take("run", "mapping")),
+            adaptive=parse_adaptive(adaptive) if adaptive is not None else None,
+            grid=_parse_grid(doc.take("grid", "mapping")),
             base_dir=base_dir,
         )
+        # Unknown sections are reported before any cross-section rule,
+        # which a misspelled section name would otherwise trip first.
+        doc.finish()
         _cross_validate(spec)
         return spec
     except ScenarioError as exc:
@@ -890,42 +713,22 @@ def parse_scenario(
 def scenario_from_json(text: str, source: Optional[str] = None) -> ScenarioSpec:
     """Parse a scenario from its canonical JSON text (the embedded form
     carried by ``StudyRequest.scenario``)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError("", f"invalid JSON: {exc}", source=source) from None
-    return parse_scenario(data, source=source)
+    return parse_scenario(decode_json(text, source, ScenarioError), source=source)
 
 
 def load_scenario(path: Union[str, "os.PathLike"]) -> ScenarioSpec:
     """Read and validate one scenario file.
 
     ``.json`` files parse as JSON; everything else as TOML.  All
-    failures — unreadable file, syntax error, schema violation — raise
-    :class:`ScenarioError` with the file name in the message.
+    failures — unreadable file, invalid UTF-8, syntax error, nesting
+    too deep, schema violation — raise :class:`ScenarioError` with the
+    file name in the message.
     """
     path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ScenarioError(
-            "", f"cannot read scenario file: {exc}", source=path
-        ) from None
-    if path.endswith(".json"):
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ScenarioError(
-                "", f"invalid JSON: {exc}", source=path
-            ) from None
-    else:
-        try:
-            data = tomllib.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
-            raise ScenarioError(
-                "", f"invalid TOML: {exc}", source=path
-            ) from None
+    text = read_text(path, "scenario file", ScenarioError)
+    decode = decode_json if path.endswith(".json") else decode_toml
     return parse_scenario(
-        data, source=os.path.basename(path), base_dir=os.path.dirname(path) or "."
+        decode(text, path, ScenarioError),
+        source=os.path.basename(path),
+        base_dir=os.path.dirname(path) or ".",
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Failure-interarrival regimes a scenario can select.
 REGIMES = ("poisson", "weibull", "lognormal", "trace")
@@ -129,6 +129,15 @@ class AdaptiveSpec:
     batch_size: int = 25
     ci_rel_threshold: float = 0.02
     refine_depth: int = 1
+
+    def batch_sizes(self) -> List[int]:
+        """Trial counts of the batch chain covering ``max_trials``
+        (all ``batch_size`` except a possibly short last batch)."""
+        sizes = [self.batch_size] * (self.max_trials // self.batch_size)
+        rest = self.max_trials % self.batch_size
+        if rest:
+            sizes.append(rest)
+        return sizes
 
 
 @dataclass(frozen=True)

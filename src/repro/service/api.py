@@ -61,6 +61,11 @@ Fleet routes (what remote ``repro agent`` processes drive):
 - ``POST /v1/jobs/renew`` — batch lease renewal.
 - ``POST /v1/jobs/release`` — return unstarted claims to the queue.
 
+Every request body is read by one strict path: a bad
+``Content-Length``, invalid UTF-8, broken or over-deep JSON, and any
+field the route's parser rejects get a 400 with a one-line JSON
+``error`` — never a dropped connection.
+
 The handler is deliberately thin: every decision lives in
 :class:`repro.service.app.ReproService`, which the server object
 carries; request threads only parse, dispatch, and serialize.
@@ -74,6 +79,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.campaigns.controller import UnknownCampaign
+from repro.inputs import decode_json, quote
 from repro.service.jobs import ValidationError
 from repro.service.store import JobState, QueueFull, UnknownJob, UnknownSite
 from repro.telemetry import TERMINAL_KINDS
@@ -125,19 +131,29 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
         self._send_bytes(status, body, "application/json")
 
-    def _read_json_body(self, max_bytes: int = MAX_BODY_BYTES) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > max_bytes:
-            raise ValidationError(
-                f"request body too large ({length} > {max_bytes} bytes)"
-            )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ValidationError("request body must be a JSON object")
+    def _read_json_body(
+        self, max_bytes: int = MAX_BODY_BYTES, optional: bool = False
+    ) -> Any:
+        """The decoded JSON request body.  An empty body is an error,
+        or ``{}`` when *optional* (routes that need no payload)."""
+        header = self.headers.get("Content-Length") or "0"
         try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"request body is not valid JSON: {exc}")
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= max_bytes:
+            # The unread body would otherwise be parsed as the next
+            # request on this connection.
+            self.close_connection = True
+            raise ValidationError(
+                f"Content-Length must be 0 to {max_bytes} bytes, "
+                f"got {quote(header)}"
+            )
+        if not length:
+            if optional:
+                return {}
+            raise ValidationError("missing request body (expected a JSON object)")
+        return decode_json(self.rfile.read(length), "request body")
 
     # -- routing -------------------------------------------------------
 
@@ -255,9 +271,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no route for {url.path}"})
             return
         try:
-            payload = self._read_json_body(max_bytes) if status == 201 else (
-                self._read_optional_json_body(max_bytes)
-            )
+            payload = self._read_json_body(max_bytes, optional=status != 201)
             response = handler(payload)
         except ValidationError as exc:
             self._send_json(400, {"error": str(exc)})
@@ -275,16 +289,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(body)
             return
         self._send_json(status, response)
-
-    def _read_optional_json_body(self, max_bytes: int) -> Any:
-        """Like :meth:`_read_json_body` but an empty body is ``{}``
-        (the site heartbeat/drain routes carry no payload)."""
-        try:
-            return self._read_json_body(max_bytes)
-        except ValidationError as exc:
-            if "must be a JSON object" in str(exc):
-                return {}
-            raise
 
     def do_DELETE(self) -> None:
         """Dispatch DELETE routes (job cancellation)."""
@@ -477,12 +481,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         heartbeat_s = service.config.sse_heartbeat_s
         hub.watch(job_id)
+        watching = True
+
+        def end(payload: Dict[str, Any]) -> None:
+            # Drop the watch first: a client that has read the end
+            # frame must not still see it in /v1/metrics.
+            nonlocal watching
+            hub.unwatch(job_id)
+            watching = False
+            self._sse_event("end", payload)
+            self._sse_end()
+
         try:
             self._sse_begin()
             self._sse_event("snapshot", record.to_payload())
             if resume is None and record.state in JobState.TERMINAL:
-                self._sse_event("end", {"state": record.state})
-                self._sse_end()
+                end({"state": record.state})
                 return
             while True:
                 events, missed = ring.read_since(last_seq)
@@ -499,10 +513,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                         "event", event.to_payload(), event_id=event.seq
                     )
                     if event.kind in TERMINAL_KINDS:
-                        self._sse_event(
-                            "end", {"kind": event.kind, "seq": event.seq}
-                        )
-                        self._sse_end()
+                        end({"kind": event.kind, "seq": event.seq})
                         return
                 if not ring.wait_for(last_seq, heartbeat_s):
                     if ring.closed:
@@ -516,14 +527,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     except UnknownJob:  # pragma: no cover - jobs persist
                         state = "unknown"
                     if state in JobState.TERMINAL:
-                        self._sse_event("end", {"state": state})
-                        self._sse_end()
+                        end({"state": state})
                         return
                     self._sse_comment("heartbeat")
         except (BrokenPipeError, ConnectionResetError):
             pass
         finally:
-            hub.unwatch(job_id)
+            if watching:
+                hub.unwatch(job_id)
 
     def _stream_metrics(self) -> None:
         """``GET /v1/metrics/stream``: periodic ``metrics`` frames

@@ -17,23 +17,21 @@ lifecycle:
 
 from __future__ import annotations
 
+import re
 import signal
 import sys
 import threading
 import time
 import uuid
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.campaigns.controller import (
-    AdaptiveConfig,
-    Campaign,
-    CampaignRegistry,
-)
+from repro.campaigns.controller import Campaign, CampaignRegistry
 from repro.experiments.entry import StudyRequest
 from repro.experiments.parallel import ExecutorMetrics, ResultCache
+from repro.inputs import Fields
 from repro.obs import counters as obs_counters
+from repro.scenarios.spec import AdaptiveSpec
 from repro.service import api as service_api
 from repro.service import protocol
 from repro.service.jobs import JobSpec, ValidationError
@@ -53,6 +51,9 @@ from repro.telemetry import TelemetryHub, TelemetryStore
 #: them.
 PUSHED_COUNTER_NAMESPACES = ("grid.", "executor.", "single_app.", "datacenter.")
 
+#: Client-supplied idempotency keys of ``POST /v1/jobs``.
+_JOB_ID_RE = re.compile(r"[A-Za-z0-9._-]{8,64}")
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -61,11 +62,9 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8642
     workers: int = 1
-    #: SQLite path; ``":memory:"`` gives an ephemeral store.
+    #: Job-store location: a backend URL (``sqlite://results/service.db``)
+    #: or a bare SQLite path; ``":memory:"`` gives an ephemeral store.
     db_path: str = "results/service.db"
-    #: Store backend URL (``sqlite://results/service.db``).  When set
-    #: it wins over ``db_path``; a bare path selects SQLite.
-    store_url: Optional[str] = None
     #: Bound on *queued* jobs; beyond it submissions get 429.
     queue_limit: int = 256
     #: Lease duration; a crashed worker's job is re-claimable this
@@ -105,7 +104,7 @@ class ReproService:
         # narrate every lifecycle transition into the one ring.
         self.store = TelemetryStore(
             create_store(
-                self.config.store_url or self.config.db_path,
+                self.config.db_path,
                 queue_limit=self.config.queue_limit,
                 max_attempts=self.config.max_attempts,
             ),
@@ -239,27 +238,20 @@ class ReproService:
         Raises :class:`repro.service.jobs.ValidationError` (HTTP 400)
         or :class:`repro.service.store.QueueFull` (HTTP 429).
         """
-        requested_id = None
-        depends_on = None
-        dep_policy = None
-        if isinstance(payload, dict):
-            payload = dict(payload)
-            if "job_id" in payload:
-                requested_id = protocol.parse_job_id(payload.pop("job_id"))
-            if "depends_on" in payload:
-                depends_on = protocol.parse_depends_on(
-                    payload.pop("depends_on")
-                )
-            dep_policy = protocol.parse_dep_policy(
-                payload.pop("dep_policy", None)
-            )
-        spec = JobSpec.from_payload(payload)
+        fields = Fields(payload)
+        requested_id = fields.take("job_id", "str", pattern=_JOB_ID_RE)
+        depends_on = fields.take("depends_on", "list[id]", lo=1)
+        dep_policy = fields.take(
+            "dep_policy", "str", DepPolicy.CASCADE, choices=DepPolicy.ALL
+        )
+        spec = JobSpec.from_fields(fields)
+        fields.finish()
         try:
             job_id = self.store.submit(
                 spec.to_payload(),
                 job_id=requested_id,
                 depends_on=depends_on,
-                dep_policy=dep_policy or DepPolicy.CASCADE,
+                dep_policy=dep_policy,
             )
         except DuplicateJob as exc:
             return self.store.get(exc.job_id)
@@ -297,64 +289,32 @@ class ReproService:
 
         from repro.experiments.entry import FORMATS
         from repro.scenarios.compiler import compile_scenario
-        from repro.scenarios.errors import ScenarioError
         from repro.scenarios.library import load_named
-        from repro.scenarios.schema import parse_scenario
+        from repro.scenarios.schema import parse_adaptive, parse_scenario
 
-        if not isinstance(payload, dict):
-            raise ValidationError("campaign payload must be a JSON object")
-        data = dict(payload)
-        name = data.pop("scenario", None)
-        inline = data.pop("spec", None)
-        quick = data.pop("quick", False)
-        jobs = data.pop("jobs", 1)
-        cache = data.pop("cache", True)
-        fmt = data.pop("format", None)
-        adaptive_field = data.pop("adaptive", None)
-        if data:
-            raise ValidationError(
-                f"unknown campaign field {sorted(data)[0]!r}"
-            )
+        fields = Fields(payload)
+        name = fields.take("scenario", "str")
+        inline = fields.take("spec", "mapping")
+        quick = fields.take("quick", "bool", False)
+        jobs = fields.take("jobs", "int", 1, lo=1)
+        cache = fields.take("cache", "bool", True)
+        fmt = fields.take("format", "str", choices=FORMATS)
+        adaptive = fields.take("adaptive", "any")
+        fields.finish()
         if (name is None) == (inline is None):
             raise ValidationError(
                 "provide exactly one of 'scenario' (a bundled name) or "
                 "'spec' (an inline scenario document)"
             )
-        if name is not None and not isinstance(name, str):
-            raise ValidationError("field 'scenario' must be a string")
-        if not isinstance(quick, bool):
-            raise ValidationError("field 'quick' must be a boolean")
-        if fmt is not None and fmt not in FORMATS:
-            raise ValidationError(
-                f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})"
-            )
-        if adaptive_field is not None and not isinstance(
-            adaptive_field, (bool, dict)
-        ):
-            raise ValidationError(
-                "field 'adaptive' must be a boolean or an object"
-            )
-        try:
-            if name is not None:
-                spec = load_named(name)
-            else:
-                spec = parse_scenario(inline, source="<request>")
-        except ScenarioError as exc:
-            raise ValidationError(str(exc)) from None
-
-        adaptive_cfg: Optional[AdaptiveConfig] = None
-        if adaptive_field is not False:
-            wants_adaptive = (
-                adaptive_field is not None or spec.adaptive is not None
-            )
-            if wants_adaptive:
-                defaults = AdaptiveConfig.from_spec(spec.adaptive)
-                adaptive_cfg = (
-                    AdaptiveConfig.from_payload(adaptive_field, defaults)
-                    if isinstance(adaptive_field, dict)
-                    else defaults
-                )
-        if adaptive_cfg is not None:
+        spec = (
+            load_named(name)
+            if name is not None
+            else parse_scenario(inline, source="<request>")
+        )
+        if adaptive is None:
+            adaptive = spec.adaptive is not None
+        if adaptive is not False:
+            cfg = parse_adaptive({} if adaptive is True else adaptive, spec.adaptive)
             if quick:
                 raise ValidationError(
                     "'quick' cannot combine with an adaptive campaign "
@@ -366,14 +326,9 @@ class ReproService:
                     "(batch results are always JSON; render the table "
                     "from campaign status)"
                 )
-            return self._submit_adaptive_campaign(
-                spec, adaptive_cfg, jobs=jobs, cache=cache
-            )
+            return self._submit_adaptive_campaign(spec, cfg, jobs, cache)
 
-        try:
-            campaign = compile_scenario(spec, quick=quick)
-        except ScenarioError as exc:
-            raise ValidationError(str(exc)) from None
+        campaign = compile_scenario(spec, quick=quick)
         campaign_id = uuid.uuid4().hex
         units = []
         static_units = []
@@ -383,9 +338,7 @@ class ReproService:
                 if fmt is None
                 else dc_replace(unit.request, format=fmt)
             )
-            job_id = self._submit_request(
-                request, jobs=jobs, cache=cache
-            )
+            job_id = self._submit_request(request, jobs, cache)
             static_units.append({"label": unit.label, "job_id": job_id})
             units.append(
                 {
@@ -422,17 +375,14 @@ class ReproService:
         }
 
     def _submit_adaptive_campaign(
-        self,
-        spec: Any,
-        cfg: AdaptiveConfig,
-        jobs: int = 1,
-        cache: bool = True,
+        self, spec: Any, cfg: AdaptiveSpec, jobs: int, cache: bool
     ) -> Dict[str, Any]:
         """Plan and enqueue one adaptive campaign: the base wave of
         dependency-chained batch jobs, rolled back wholesale when the
-        queue cannot take it."""
+        queue cannot take it.  Every job it ever submits — base wave
+        and refinement probes — runs with the campaign's *jobs* and
+        *cache* settings."""
         from repro.scenarios.compiler import scenario_analytic_reason
-        from repro.scenarios.errors import ScenarioError
         from repro.scenarios.spec import spec_sha256
 
         if spec.failures.regime == "trace":
@@ -449,25 +399,21 @@ class ReproService:
             f"in batches of {cfg.batch_size}, CI threshold "
             f"{cfg.ci_rel_threshold:g}, refine depth {cfg.refine_depth}"
         )
-        campaign_id = uuid.uuid4().hex
-        try:
-            campaign = Campaign(
-                campaign_id,
-                spec,
-                spec_sha256(spec),
-                notes,
-                adaptive=cfg,
-            )
-        except ScenarioError as exc:
-            raise ValidationError(str(exc)) from None
 
         def submit(request: StudyRequest, parents: Optional[List[str]]) -> str:
-            return self._submit_request(
-                request, jobs=jobs, cache=cache, depends_on=parents
-            )
+            return self._submit_request(request, jobs, cache, depends_on=parents)
 
+        campaign_id = uuid.uuid4().hex
+        campaign = Campaign(
+            campaign_id,
+            spec,
+            spec_sha256(spec),
+            notes,
+            adaptive=cfg,
+            submit=submit,
+        )
         try:
-            campaign.submit_base_wave(submit)
+            campaign.submit_base_wave()
         except Exception:
             for job_id in campaign.all_job_ids():
                 try:
@@ -492,7 +438,7 @@ class ReproService:
             "scenario": spec.scenario.name,
             "spec_sha256": campaign.sha256,
             "notes": list(campaign.notes),
-            "adaptive": cfg.to_payload(),
+            "adaptive": asdict(cfg),
             "units": [],
             "cells": len(campaign.cells),
             "jobs": len(campaign.all_job_ids()),
@@ -501,8 +447,8 @@ class ReproService:
     def _submit_request(
         self,
         request: StudyRequest,
-        jobs: int = 1,
-        cache: bool = True,
+        jobs: int,
+        cache: bool,
         depends_on: Optional[List[str]] = None,
     ) -> str:
         """Enqueue one study request as a job (optionally blocked on
@@ -525,16 +471,12 @@ class ReproService:
     def _controller_loop(self) -> None:
         """The adaptive-campaign controller thread: one
         :meth:`CampaignRegistry.step_all` tick per poll interval."""
-
-        def submit(request: StudyRequest, parents: Optional[List[str]]) -> str:
-            return self._submit_request(request, depends_on=parents)
-
         while not self._controller_stop.wait(self.config.poll_interval_s):
             if not self.campaigns.pending():
                 continue
             try:
                 self.campaigns.step_all(
-                    self.store, submit, notify=self.hub.campaign_notify
+                    self.store, notify=self.hub.campaign_notify
                 )
             except Exception as exc:  # pragma: no cover - defensive
                 print(f"[campaigns] controller tick failed: {exc}", file=sys.stderr)
@@ -782,9 +724,3 @@ def _package_version() -> str:
 
     return __version__
 
-
-def default_db_path() -> Path:
-    """The default on-disk store location, creating its directory."""
-    path = Path(ServiceConfig.db_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path

@@ -7,7 +7,8 @@ JSON object — the request fields at top level next to ``jobs`` /
 ``cache`` — and :meth:`JobSpec.from_payload` is the single strict
 parser used by the HTTP API, the CLI's ``repro submit``, and the
 store's rehydration path, so a spec that was accepted always
-re-parses.
+re-parses.  It reads the payload with the :class:`repro.inputs.Fields`
+cursor every input boundary shares.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.experiments.entry import RequestError, StudyOutcome, StudyRequest, run_request
+from repro.experiments.entry import StudyOutcome, StudyRequest, run_request
 from repro.experiments.parallel import ExecutorMetrics, ExecutorOptions
+from repro.inputs import Fields, InputError
 
-
-class ValidationError(ValueError):
-    """A malformed job payload (HTTP 400); one human-readable line."""
+#: The service's name for the toolkit's base error: whatever the
+#: boundary (job, campaign, scenario, trace or curve), malformed input
+#: is an HTTP 400 with the one-line message.
+ValidationError = InputError
 
 
 @dataclass(frozen=True)
@@ -49,20 +52,21 @@ class JobSpec:
         """Parse and validate a wire payload; raises
         :class:`ValidationError` with a one-line message on any
         unknown field, wrong type, or out-of-range value."""
-        if not isinstance(payload, dict):
-            raise ValidationError("job payload must be a JSON object")
-        data = dict(payload)
-        jobs = data.pop("jobs", 1)
-        cache = data.pop("cache", True)
-        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-            raise ValidationError(f"field 'jobs' must be an integer >= 1, got {jobs!r}")
-        if not isinstance(cache, bool):
-            raise ValidationError(f"field 'cache' must be a boolean, got {cache!r}")
-        try:
-            request = StudyRequest.from_payload(data)
-        except RequestError as exc:
-            raise ValidationError(str(exc)) from exc
-        return cls(request=request, jobs=jobs, cache=cache)
+        fields = Fields(payload)
+        spec = cls.from_fields(fields)
+        fields.finish()
+        return spec
+
+    @classmethod
+    def from_fields(cls, fields: Fields) -> "JobSpec":
+        """Take a job's keys off *fields* (the caller finishes the
+        cursor, so an envelope such as ``POST /v1/jobs`` can add its
+        own keys to the same closed set)."""
+        return cls(
+            jobs=fields.take("jobs", "int", cls.jobs, lo=1),
+            cache=fields.take("cache", "bool", cls.cache),
+            request=StudyRequest.from_fields(fields),
+        )
 
     def execute(
         self,

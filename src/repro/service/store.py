@@ -358,9 +358,8 @@ def create_store(
 
     ``sqlite://results/service.db`` selects the SQLite backend with
     that database path (``sqlite://:memory:`` for an ephemeral store).
-    A bare path with no scheme is accepted as SQLite for backwards
-    compatibility with ``--db``.  This factory is the only place
-    stores are constructed.
+    A bare path with no scheme selects SQLite too.  This factory is
+    the only place stores are constructed.
     """
     from repro.service.store_sqlite import SQLiteJobStore
 

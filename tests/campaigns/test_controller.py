@@ -3,28 +3,32 @@ config parsing, batch-chain planning, artifact parsing, and the shared
 winning-technique renderer the bench uses for byte-identity checks."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.campaigns.controller import (
-    AdaptiveConfig,
     best_map_from_results,
     parse_cell_result,
     render_best_technique_table,
     technique_tag,
 )
-from repro.scenarios.schema import parse_scenario
+from repro.scenarios.schema import parse_adaptive, parse_scenario
+from repro.scenarios.spec import AdaptiveSpec
 from repro.service.jobs import ValidationError
 
 
 class TestAdaptiveConfig:
+    """The one adaptive parser: a scenario's ``[adaptive]`` section and
+    the ``adaptive`` override of ``POST /v1/campaigns`` alike."""
+
     def test_defaults_mirror_the_schema(self):
-        cfg = AdaptiveConfig()
+        cfg = parse_adaptive({})
         assert (cfg.max_trials, cfg.batch_size) == (200, 25)
         assert (cfg.ci_rel_threshold, cfg.refine_depth) == (0.02, 1)
 
     def test_from_spec_none_is_defaults(self):
-        assert AdaptiveConfig.from_spec(None) == AdaptiveConfig()
+        assert parse_adaptive({}, None) == AdaptiveSpec()
 
     def test_from_spec_carries_the_section(self):
         spec = parse_scenario(
@@ -38,13 +42,13 @@ class TestAdaptiveConfig:
                 "adaptive": {"max_trials": 30, "batch_size": 10},
             }
         )
-        cfg = AdaptiveConfig.from_spec(spec.adaptive)
+        cfg = parse_adaptive({}, spec.adaptive)
         assert cfg.max_trials == 30
         assert cfg.batch_size == 10
 
     def test_from_payload_overrides_defaults_fieldwise(self):
-        defaults = AdaptiveConfig(max_trials=40, batch_size=8)
-        cfg = AdaptiveConfig.from_payload({"batch_size": 4}, defaults)
+        defaults = AdaptiveSpec(max_trials=40, batch_size=8)
+        cfg = parse_adaptive({"batch_size": 4}, defaults)
         assert cfg.max_trials == 40
         assert cfg.batch_size == 4
 
@@ -66,25 +70,25 @@ class TestAdaptiveConfig:
     )
     def test_bad_payloads_raise_validation_error(self, payload):
         with pytest.raises(ValidationError):
-            AdaptiveConfig.from_payload(payload)
+            parse_adaptive(payload)
 
     def test_payload_round_trip(self):
-        cfg = AdaptiveConfig(
+        cfg = AdaptiveSpec(
             max_trials=12, batch_size=5, ci_rel_threshold=0.1, refine_depth=2
         )
-        assert AdaptiveConfig.from_payload(cfg.to_payload()) == cfg
+        assert parse_adaptive(asdict(cfg)) == cfg
 
     def test_batch_sizes_cover_max_trials_exactly(self):
-        assert AdaptiveConfig(max_trials=12, batch_size=5).batch_sizes() == [
+        assert AdaptiveSpec(max_trials=12, batch_size=5).batch_sizes() == [
             5,
             5,
             2,
         ]
-        assert AdaptiveConfig(max_trials=10, batch_size=5).batch_sizes() == [
+        assert AdaptiveSpec(max_trials=10, batch_size=5).batch_sizes() == [
             5,
             5,
         ]
-        assert sum(AdaptiveConfig().batch_sizes()) == 200
+        assert sum(AdaptiveSpec().batch_sizes()) == 200
 
 
 class TestParseCellResult:

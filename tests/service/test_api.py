@@ -321,3 +321,53 @@ class TestFleetEndpoints:
         assert sites["site-a"]["inflight"] == 0
         assert sites["site-a"]["state"] == "active"
         assert sites["site-a"]["last_heartbeat_age_s"] >= 0.0
+
+
+def _raw_post(service, length: bytes, body: bytes) -> bytes:
+    """Send one hand-built ``POST /v1/jobs`` over a raw socket; return
+    the whole response (empty when the server drops the connection)."""
+    import socket
+
+    request = (
+        b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+        b"Content-Length: " + length + b"\r\n\r\n" + body
+    )
+    with socket.create_connection(("127.0.0.1", service.port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestMalformedBodies:
+    """Bodies the JSON decoder or the header parser refuse get a 400
+    with a JSON error, and the server keeps answering."""
+
+    @pytest.mark.parametrize(
+        "length, body",
+        [
+            (b"abc", b"{}"),
+            (b"-5", b"{}"),
+            (None, b'{"experiment": "fig\xff1"}'),
+            (None, b"[" * 30000 + b"]" * 30000),
+        ],
+        ids=["length-not-a-number", "length-negative", "byte-ff", "deep-nesting"],
+    )
+    def test_400_and_server_survives(self, service, client, length, body):
+        import json
+
+        if length is None:
+            length = str(len(body)).encode()
+        response = _raw_post(service, length, body)
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line.split()[1] == b"400", response[:200]
+        payload = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert payload["error"] and "\n" not in payload["error"]
+        assert client.health()["status"] == "ok"

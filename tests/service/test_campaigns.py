@@ -294,3 +294,38 @@ class TestAdaptiveValidation:
                 spec=adaptive_spec(), adaptive={"batch_size": 99}
             )
         assert service.store.counts() == before
+
+
+class TestCampaignExecutorSettings:
+    def test_probes_keep_the_campaign_jobs_and_cache(self, client, service):
+        """Refinement probes are submitted by the controller thread
+        long after the request returned; they must still carry the
+        campaign's ``jobs``/``cache``, like its base wave."""
+        doc = {
+            "scenario": {"name": "probe-settings"},
+            "platform": {"total_nodes": 50000},
+            "failures": {"regime": "poisson", "mtbf_years": 2.5},
+            "workload": {
+                "study": "scaling",
+                "app_type": "D64",
+                "fractions": [0.05, 0.8],
+            },
+            "techniques": {"names": ["multilevel", "parallel_recovery"]},
+            "adaptive": {
+                "max_trials": 12,
+                "batch_size": 4,
+                "ci_rel_threshold": 0.3,
+                "refine_depth": 1,
+            },
+            "run": {"seed": 7},
+        }
+        campaign = client.submit_campaign(spec=doc, cache=False, jobs=2)
+        status = client.wait_campaign(campaign["id"], timeout=300)
+        assert status["state"] == "done"
+        assert any(cell["probe"] for cell in status["cells"])
+        job_ids = service.campaigns.get(campaign["id"]).all_job_ids()
+        settings = {
+            (spec["jobs"], spec["cache"])
+            for spec in (service.store.get(i).spec for i in job_ids)
+        }
+        assert settings == {(2, False)}

@@ -48,7 +48,7 @@ class TestParser:
 
     def test_service_verbs_parse(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--workers", "2", "--db", ":memory:"]
+            ["serve", "--port", "0", "--workers", "2", "--store", ":memory:"]
         )
         assert args.experiment == "serve"
         assert args.port == 0
