@@ -17,6 +17,14 @@ idempotently.  Two deployments of the same engine:
   interface directly, so ``repro serve`` with no fleet behaves exactly
   as before the split.
 
+Claims do not poll.  A claim that finds nothing claimable waits, for
+at most :data:`CLAIM_WAIT_S`, on the control plane's telemetry ring —
+where the store narrates every job transition after it commits — and
+tries the store again only after a transition that can make a job
+claimable (:func:`claim_waiting`).  The remote route runs that wait
+server-side (the claim's ``wait_s`` field), the local source in
+process; the bound is also how an idle agent picks up expired leases.
+
 Safety never depends on agent behaviour: claims are leases, a dead
 agent's jobs are re-claimable after lease expiry, and completion is
 lease-holder-only, so a stale or duplicate agent is harmless.  Result
@@ -32,6 +40,7 @@ import signal
 import socket
 import sys
 import threading
+import time
 import traceback
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -42,6 +51,14 @@ from repro.obs import live
 from repro.service.jobs import JobSpec, ValidationError
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.store import JobRecord, JobState, JobStore
+from repro.telemetry.hub import wakes_claims
+from repro.telemetry.ring import TelemetryRing
+
+#: Seconds one claim waits for claimable work before it comes back
+#: empty.  An idle agent therefore makes at most one claim request per
+#: period, picks up an expired lease within one period, and its
+#: shutdown waits at most one period for an open claim.
+CLAIM_WAIT_S = 1.0
 
 
 class JobSource(abc.ABC):
@@ -56,15 +73,21 @@ class JobSource(abc.ABC):
     #: The registered site name (None for the in-process pool).
     site: Optional[str] = None
 
+    #: Whether :meth:`claim_batch` can wait for work.  After an empty
+    #: claim from a source that cannot, the puller backs off
+    #: ``poll_interval_s`` before it claims again.
+    waits: bool = True
+
     @abc.abstractmethod
     def register(self, meta: Dict[str, Any]) -> None:
         """Announce this agent (idempotent; no-op locally)."""
 
     @abc.abstractmethod
     def claim_batch(
-        self, worker: str, lease_s: float, limit: int
+        self, worker: str, lease_s: float, limit: int, wait_s: float = 0.0
     ) -> List[JobRecord]:
-        """Lease up to *limit* runnable jobs to *worker*."""
+        """Lease up to *limit* runnable jobs to *worker*, waiting up to
+        *wait_s* seconds for one when none is claimable."""
 
     @abc.abstractmethod
     def renew_many(
@@ -103,21 +126,81 @@ class JobSource(abc.ABC):
         """Whether a cancellation is pending for *job_id*."""
 
 
-class LocalJobSource(JobSource):
-    """Direct store-interface calls (the in-process pool's source)."""
+def claim_waiting(
+    store: JobStore,
+    ring: TelemetryRing,
+    worker: str,
+    lease_s: float,
+    limit: int,
+    *,
+    site: Optional[str] = None,
+    wait_s: float = 0.0,
+    since: Optional[int] = None,
+) -> List[JobRecord]:
+    """Lease up to *limit* jobs from *store*; with nothing claimable,
+    wait up to *wait_s* seconds on *ring* (the telemetry ring the store
+    narrates its transitions into) and try again after each transition
+    that can make a job claimable.
 
-    def __init__(self, store: JobStore) -> None:
+    Returns the batch, or an empty list once the deadline passes or
+    the hub closes.  Raises :class:`DrainRequested` when *site* starts
+    draining.  Every event after the ring position read before the
+    first store attempt is examined — *since*, when the caller read it
+    before checks of its own, else the ring's ``last_seq`` — so no
+    transition committed during an attempt is lost.
+    """
+    seq = ring.last_seq if since is None else since
+    deadline = time.monotonic() + wait_s
+    while True:
+        batch = store.claim_batch(worker, lease_s, limit, site=site)
+        if batch:
+            return batch
+        for events, missed in ring.follow(seq, deadline - time.monotonic()):
+            if events:
+                seq = events[-1].seq
+            if site is not None and any(
+                e.kind == "site.draining" and e.site == site for e in events
+            ):
+                raise DrainRequested(site)
+            if missed or any(wakes_claims(e) for e in events):
+                break
+        else:
+            return []
+
+
+class LocalJobSource(JobSource):
+    """Direct store-interface calls (the in-process pool's source).
+
+    *hub* is the telemetry hub *store* narrates into (a
+    :class:`repro.telemetry.store.TelemetryStore` over it); claims
+    wait on its ring as the HTTP claim route does.  A bare store
+    gives no wake-up, so without a hub the puller polls it.
+    """
+
+    def __init__(self, store: JobStore, hub: Any = None) -> None:
         self.store = store
+        self.hub = hub
         self.site = None
+        self.waits = hub is not None
 
     def register(self, meta: Dict[str, Any]) -> None:
         """Nothing to announce: the store is right here."""
 
     def claim_batch(
-        self, worker: str, lease_s: float, limit: int
+        self, worker: str, lease_s: float, limit: int, wait_s: float = 0.0
     ) -> List[JobRecord]:
-        """Lease up to *limit* jobs straight from the store."""
-        return self.store.claim_batch(worker, lease_s, limit, site=self.site)
+        """Lease up to *limit* jobs straight from the store, waiting
+        on the hub when there is one.  A closed hub means the service
+        is shutting down: raises :class:`DrainRequested` so the
+        puller stops claiming."""
+        if self.hub is None:
+            return self.store.claim_batch(worker, lease_s, limit, site=self.site)
+        batch = claim_waiting(
+            self.store, self.hub.ring, worker, lease_s, limit, wait_s=wait_s
+        )
+        if not batch and self.hub.ring.closed:
+            raise DrainRequested("local")
+        return batch
 
     def renew_many(
         self, worker: str, job_ids: List[str], lease_s: float
@@ -189,12 +272,18 @@ class RemoteJobSource(JobSource):
         self.client.register_site(self.site, meta=meta)
 
     def claim_batch(
-        self, worker: str, lease_s: float, limit: int
+        self, worker: str, lease_s: float, limit: int, wait_s: float = 0.0
     ) -> List[JobRecord]:
-        """Claim a batch over HTTP; raises :class:`DrainRequested`
-        when the control plane wants this site to wind down."""
+        """Claim a batch over HTTP, the control plane waiting up to
+        *wait_s* (kept under the client's timeout) for work; raises
+        :class:`DrainRequested` when the control plane wants this
+        site to wind down."""
         response = self.client.claim_jobs(
-            self.site, worker, limit=limit, lease_s=lease_s
+            self.site,
+            worker,
+            limit=limit,
+            lease_s=lease_s,
+            wait_s=min(wait_s, self.client.timeout / 2),
         )
         if response.get("draining"):
             raise DrainRequested(self.site)
@@ -296,7 +385,9 @@ class WorkerAgent:
 
     - the **puller** claims runnable jobs in batches (sized to the
       free executor capacity, capped at *batch_size*) into an
-      in-memory hand-off queue;
+      in-memory hand-off queue.  It claims as soon as an executor
+      takes a job off that queue, and each claim waits up to
+      :data:`CLAIM_WAIT_S` for work, so it never sleeps on a timer;
     - **executors** take claimed jobs off the hand-off queue and run
       them through :meth:`JobSpec.execute`;
     - a **heartbeat** renews the leases of every in-flight job and
@@ -308,10 +399,11 @@ class WorkerAgent:
     started before the agent joins them.
 
     ``workers=0`` is a valid paused agent (jobs queue up but never
-    run — used by tests and by operators staging work).  *on_idle* is
-    an optional test hook called when the puller finds nothing to
-    claim; *on_tick* runs once per puller iteration (the in-process
-    pool hangs cache pruning on it).
+    run — used by tests and by operators staging work).  *on_tick*
+    runs once per puller iteration (the in-process pool hangs cache
+    pruning on it).  *poll_interval_s* is the back-off after a failed
+    claim, the poll period of a source that cannot wait, and how often
+    idle executors check for shutdown.
     """
 
     def __init__(
@@ -326,7 +418,6 @@ class WorkerAgent:
         cache: Optional[ResultCache] = None,
         identity: Optional[str] = None,
         telemetry: Optional[Any] = None,
-        on_idle: Optional[Callable[[], None]] = None,
         on_tick: Optional[Callable[[], None]] = None,
     ) -> None:
         if workers < 0:
@@ -351,7 +442,6 @@ class WorkerAgent:
         #: :class:`repro.telemetry.forwarder.ForwardingTelemetry` on a
         #: remote agent.  None keeps the engine telemetry-free.
         self.telemetry = telemetry
-        self.on_idle = on_idle
         self.on_tick = on_tick
         self._handoff: "queue.Queue[JobRecord]" = queue.Queue(
             maxsize=max(workers, 1)
@@ -425,8 +515,7 @@ class WorkerAgent:
         # The puller may have claimed one last batch after the first
         # sweep; sweep again now that every thread is gone.
         self._release_handoff()
-        if self.telemetry is not None:
-            self.telemetry.flush()
+        self._flush_events()
         self._threads = []
 
     def run_forever(self, install_signal_handlers: bool = True) -> None:
@@ -477,6 +566,22 @@ class WorkerAgent:
     def _log(self, message: str) -> None:
         print(f"[agent {self.identity}] {message}", file=sys.stderr)
 
+    def _flush_events(self) -> None:
+        if self.telemetry is not None:
+            self.telemetry.flush()
+
+    def _free_slots(self) -> int:
+        """Block until the hand-off queue has room (an executor took a
+        job off it) or the agent stops; returns the free slots."""
+        handoff = self._handoff
+        with handoff.not_full:
+            while (
+                len(handoff.queue) >= handoff.maxsize
+                and not self._stop.is_set()
+            ):
+                handoff.not_full.wait()
+            return handoff.maxsize - len(handoff.queue)
+
     # ------------------------------------------------------------------
     # Thread bodies
     # ------------------------------------------------------------------
@@ -485,23 +590,26 @@ class WorkerAgent:
         while not self._stop.is_set():
             if self.on_tick is not None:
                 self.on_tick()
-            if self.telemetry is not None:
-                self.telemetry.flush()
-            claimed: List[JobRecord] = []
-            if not self.draining:
-                free = self._handoff.maxsize - self._handoff.qsize()
-                limit = min(self.batch_size, max(free, 0))
-                if limit > 0:
-                    try:
-                        claimed = self.source.claim_batch(
-                            self.identity, self.lease_s, limit
-                        )
-                    except DrainRequested:
-                        self.drain()
-                    except Exception as exc:
-                        self._log(f"claim failed ({exc}); backing off")
-                        self._stop.wait(self.poll_interval_s)
-                        continue
+            limit = min(self.batch_size, self._free_slots())
+            if self.draining:
+                # Nothing more to claim; running jobs finish and
+                # shutdown() stops this thread.
+                self._stop.wait()
+                continue
+            try:
+                claimed = self.source.claim_batch(
+                    self.identity, self.lease_s, limit, wait_s=CLAIM_WAIT_S
+                )
+            except DrainRequested:
+                self.drain()
+                continue
+            except Exception as exc:
+                self._log(f"claim failed ({exc}); backing off")
+                self._stop.wait(self.poll_interval_s)
+                continue
+            # Ship the live events running jobs buffered while the
+            # claim waited.
+            self._flush_events()
             if claimed:
                 obs_counters.increment("agent.jobs_claimed", len(claimed))
                 for record in claimed:
@@ -509,9 +617,7 @@ class WorkerAgent:
                         self._handoff.put(record, timeout=self.lease_s)
                     except queue.Full:  # pragma: no cover - free slots held
                         self.source.release(self.identity, record.id)
-            else:
-                if self.on_idle is not None:
-                    self.on_idle()
+            elif not self.source.waits:
                 self._stop.wait(self.poll_interval_s)
 
     def _executor_loop(self, name: str) -> None:
@@ -583,7 +689,11 @@ class WorkerAgent:
     ) -> None:
         """Push a success idempotently: an "already terminal" answer
         (a retried push whose first attempt landed, or a re-run that
-        beat us) is dropped, never an error."""
+        beat us) is dropped, never an error.
+
+        The job's buffered live events are flushed first, so they
+        land on the control plane's ring before its terminal event."""
+        self._flush_events()
         try:
             accepted, state = self.source.complete(
                 self.identity, job_id, text, counters=counters
@@ -605,6 +715,7 @@ class WorkerAgent:
             self._log(f"lease on {job_id} lost; result discarded")
 
     def _push_failure(self, job_id: str, error: str) -> None:
+        self._flush_events()
         try:
             accepted, _ = self.source.fail(self.identity, job_id, error)
         except Exception as exc:
@@ -628,8 +739,7 @@ class WorkerAgent:
         try:
             if ids:
                 self.source.renew_many(self.identity, ids, self.lease_s)
-            if self.telemetry is not None:
-                self.telemetry.flush()
+            self._flush_events()
             if not final and self.source.heartbeat():
                 self.drain()
         except Exception as exc:

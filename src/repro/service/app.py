@@ -34,6 +34,7 @@ from repro.obs import counters as obs_counters
 from repro.scenarios.spec import AdaptiveSpec
 from repro.service import api as service_api
 from repro.service import protocol
+from repro.service.agent import DrainRequested, claim_waiting
 from repro.service.jobs import JobSpec, ValidationError
 from repro.service.store import (
     DepPolicy,
@@ -44,7 +45,7 @@ from repro.service.store import (
     create_store,
 )
 from repro.service.worker import WorkerPool
-from repro.telemetry import TelemetryHub, TelemetryStore
+from repro.telemetry import TERMINAL_KINDS, TelemetryHub, TelemetryStore
 
 #: Counter namespaces a completion push may add to.  The control plane
 #: keeps ``service.*`` and ``agent.*`` itself, so no agent can inflate
@@ -53,6 +54,10 @@ PUSHED_COUNTER_NAMESPACES = ("grid.", "executor.", "single_app.", "datacenter.")
 
 #: Client-supplied idempotency keys of ``POST /v1/jobs``.
 _JOB_ID_RE = re.compile(r"[A-Za-z0-9._-]{8,64}")
+
+#: Longest the campaign controller sleeps between steps.  Terminal job
+#: events wake it; this slow timer is only a backstop.
+CONTROLLER_BACKSTOP_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,10 @@ class ServiceConfig:
     cache_max_mb: Optional[float] = None
     #: Seconds between cache-prune checks.
     cache_prune_interval_s: float = 300.0
-    #: Scheduler poll interval (small for tests, default is fine).
+    #: Not on the job path (claims and the campaign controller wake on
+    #: the telemetry ring): the in-process pool's back-off after a
+    #: failed claim, and how often its idle executors check for
+    #: shutdown.
     poll_interval_s: float = 0.05
     #: Log HTTP requests to stderr.
     log_requests: bool = False
@@ -170,14 +178,17 @@ class ReproService:
                 return
             self._shut_down = True
         self._controller_stop.set()
+        if self._server is not None:
+            # Stop accepting requests; open ones keep running.
+            self._server.shutdown()
+        # Close the telemetry ring: every thread blocked on it wakes at
+        # once and winds down — SSE streams, open claim waits (remote
+        # and the local pool's), and the campaign controller — so no
+        # request is left open when the listener closes.
+        self.hub.close()
         if self._controller_thread is not None:
             self._controller_thread.join(timeout=timeout)
-        # Close the telemetry ring first: every blocked SSE stream
-        # wakes, winds down, and releases its connection before the
-        # listener goes away.
-        self.hub.close()
         if self._server is not None:
-            self._server.shutdown()
             self._server.server_close()
         if self._server_thread is not None:
             self._server_thread.join(timeout=timeout)
@@ -470,16 +481,26 @@ class ReproService:
 
     def _controller_loop(self) -> None:
         """The adaptive-campaign controller thread: one
-        :meth:`CampaignRegistry.step_all` tick per poll interval."""
-        while not self._controller_stop.wait(self.config.poll_interval_s):
-            if not self.campaigns.pending():
-                continue
-            try:
-                self.campaigns.step_all(
-                    self.store, notify=self.hub.campaign_notify
-                )
-            except Exception as exc:  # pragma: no cover - defensive
-                print(f"[campaigns] controller tick failed: {exc}", file=sys.stderr)
+        :meth:`CampaignRegistry.step_all` pass each time a job reaches
+        a terminal state (what a step consumes), and at least every
+        :data:`CONTROLLER_BACKSTOP_S`.  The ring's ``last_seq`` is read
+        before each pass, so a job finishing mid-pass wakes the next."""
+        ring = self.hub.ring
+        while not self._controller_stop.is_set():
+            seq = ring.last_seq
+            if self.campaigns.pending():
+                try:
+                    self.campaigns.step_all(
+                        self.store, notify=self.hub.campaign_notify
+                    )
+                except Exception as exc:  # pragma: no cover - defensive
+                    print(
+                        f"[campaigns] controller step failed: {exc}",
+                        file=sys.stderr,
+                    )
+            for events, missed in ring.follow(seq, CONTROLLER_BACKSTOP_S):
+                if missed or any(e.kind in TERMINAL_KINDS for e in events):
+                    break
 
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel *job_id* (see :meth:`JobStore.cancel`)."""
@@ -523,19 +544,34 @@ class ReproService:
     def claim_jobs(self, payload: Any) -> Dict[str, Any]:
         """``POST /v1/jobs/claim``: lease a batch of runnable jobs.
 
-        A claim doubles as a site heartbeat.  A draining site gets an
-        empty batch plus ``draining: true`` so its agents wind down.
+        With nothing claimable the request waits up to ``wait_s`` on
+        the telemetry ring and retries after each transition that can
+        make a job claimable (:func:`repro.service.agent
+        .claim_waiting`); it answers empty at the deadline or on
+        shutdown.  A claim doubles as a site heartbeat.  A draining
+        site — also one drained during the wait — gets an empty batch
+        plus ``draining: true`` so its agents wind down.
         """
         request = protocol.parse_claim_request(payload)
+        # Read the ring before the site: a drain landing in between
+        # then ends the wait instead of slipping past it.
+        since = self.hub.ring.last_seq
         site = self.store.heartbeat_site(request.site)
         if site.state == "draining":
             return {"jobs": [], "draining": True}
-        batch = self.store.claim_batch(
-            request.worker,
-            request.lease_s,
-            limit=request.limit,
-            site=request.site,
-        )
+        try:
+            batch = claim_waiting(
+                self.store,
+                self.hub.ring,
+                request.worker,
+                request.lease_s,
+                request.limit,
+                site=request.site,
+                wait_s=request.wait_s,
+                since=since,
+            )
+        except DrainRequested:
+            return {"jobs": [], "draining": True}
         if batch:
             obs_counters.increment("service.jobs_claimed_remote", len(batch))
         return {

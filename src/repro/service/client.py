@@ -453,13 +453,17 @@ class ServiceClient:
         worker: str,
         limit: int = 1,
         lease_s: float = 300.0,
+        wait_s: float = 0.0,
     ) -> Dict[str, Any]:
-        """``POST /v1/jobs/claim``: lease up to *limit* runnable jobs."""
+        """``POST /v1/jobs/claim``: lease up to *limit* runnable jobs,
+        the server waiting up to *wait_s* seconds for one when none is
+        claimable."""
         payload = {
             "site": site,
             "worker": worker,
             "limit": limit,
             "lease_s": lease_s,
+            "wait_s": wait_s,
         }
         return self._json("POST", "/v1/jobs/claim", payload, idempotent=True)
 

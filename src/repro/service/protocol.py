@@ -24,7 +24,9 @@ from repro.service.jobs import ValidationError  # noqa: F401 (re-exported)
 
 #: Version stamp carried in site registrations and ``/v1/healthz`` so
 #: mismatched fleet deployments are visible at registration time.
-PROTOCOL_VERSION = 1
+#: Version 2 added the claim's ``wait_s`` (a closed key set, so a
+#: version-1 server would answer every claim with a 400).
+PROTOCOL_VERSION = 2
 
 #: Site names appear in URL paths (``/v1/sites/{name}/heartbeat``).
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,99}")
@@ -34,6 +36,10 @@ MAX_CLAIM_LIMIT = 64
 
 #: Longest lease a remote agent may request, in seconds.
 MAX_LEASE_S = 3600.0
+
+#: Longest a claim may wait for claimable work, in seconds (one HTTP
+#: request thread is held for the wait).
+MAX_CLAIM_WAIT_S = 10.0
 
 #: Largest forwarded-event batch one ``POST /v1/sites/{name}/events``
 #: may carry (the agent-side forwarder flushes in batches of 256).
@@ -79,12 +85,14 @@ def parse_site_registration(payload: Any) -> SiteRegistration:
 @dataclass(frozen=True)
 class ClaimRequest:
     """``POST /v1/jobs/claim`` body: lease up to *limit* jobs to
-    *worker* on behalf of *site*."""
+    *worker* on behalf of *site*, waiting up to *wait_s* seconds for
+    one when none is claimable (0 answers at once)."""
 
     site: str
     worker: str
     limit: int = 1
     lease_s: float = 300.0
+    wait_s: float = 0.0
 
     def to_payload(self) -> Dict[str, Any]:
         """The request body an agent sends to claim a batch."""
@@ -93,18 +101,22 @@ class ClaimRequest:
             "worker": self.worker,
             "limit": self.limit,
             "lease_s": self.lease_s,
+            "wait_s": self.wait_s,
         }
 
 
 def parse_claim_request(payload: Any) -> ClaimRequest:
     """Strictly parse a ``POST /v1/jobs/claim`` body, bounding the
-    batch size and lease duration."""
+    batch size, lease duration and wait."""
     fields = Fields(payload)
     request = ClaimRequest(
         site=fields.take("site", "str", required=True, pattern=_NAME_RE),
         worker=fields.take("worker", "id", required=True),
         limit=fields.take("limit", "int", 1, lo=1, hi=MAX_CLAIM_LIMIT),
         lease_s=fields.take("lease_s", "float", 300.0, lo=1.0, hi=MAX_LEASE_S),
+        wait_s=fields.take(
+            "wait_s", "float", 0.0, lo=0.0, hi=MAX_CLAIM_WAIT_S
+        ),
     )
     fields.finish()
     return request

@@ -10,7 +10,10 @@ before the split, while remote ``repro agent`` processes drive the
 very same engine over the API.
 
 The pool adds one thing the generic agent doesn't have: periodic
-result-cache pruning, hung on the agent's per-tick hook.
+result-cache pruning, hung on the agent's per-tick hook.  Its claims
+wait on the *telemetry* hub's ring (the hub the service's store
+narrates into); with no hub they poll the store every
+``poll_interval_s``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.experiments.parallel import ResultCache
 from repro.obs import counters as obs_counters
@@ -31,8 +34,7 @@ class WorkerPool(WorkerAgent):
 
     ``workers=0`` is a valid paused pool (jobs queue up but never
     run — used by tests and by operators staging work).  *cache* and
-    *prune_max_bytes* wire the periodic cache pruning; *on_idle* is an
-    optional test hook called when the puller finds nothing to claim.
+    *prune_max_bytes* wire the periodic cache pruning.
     """
 
     def __init__(
@@ -46,7 +48,6 @@ class WorkerPool(WorkerAgent):
         prune_max_bytes: Optional[int] = None,
         prune_interval_s: float = 300.0,
         telemetry: Optional[Any] = None,
-        on_idle: Optional[Callable[[], None]] = None,
     ) -> None:
         self.store = store
         self.prune_max_bytes = prune_max_bytes
@@ -54,7 +55,7 @@ class WorkerPool(WorkerAgent):
         self._prune_due = threading.Event()
         self._last_prune = time.monotonic()
         super().__init__(
-            LocalJobSource(store),
+            LocalJobSource(store, hub=telemetry),
             workers=workers,
             batch_size=max(workers, 1),
             lease_s=lease_s,
@@ -62,7 +63,6 @@ class WorkerPool(WorkerAgent):
             cache=cache,
             identity=f"local-{uuid.uuid4().hex[:8]}",
             telemetry=telemetry,
-            on_idle=on_idle,
             on_tick=self._maybe_prune,
         )
 

@@ -6,8 +6,11 @@ SSE consumers can see them.  :class:`EventForwarder` is the agent half
 of that path: a bounded in-memory buffer whose :meth:`offer` never
 blocks the executing simulation (at capacity the oldest entry is
 dropped and counted), flushed in batches over ``POST
-/v1/sites/{name}/events`` from the agent's housekeeping threads
-(puller tick, heartbeat, shutdown).
+/v1/sites/{name}/events`` at each claim return, before each result
+push, on each heartbeat and at shutdown.  Flushes run one at a time,
+so batches land in order and a flush that returns has shipped every
+event offered before it — which is what puts a job's forwarded events
+on the control plane's ring before its ``job.done``.
 
 Delivery is best-effort by design: telemetry must never be able to
 stall or fail a job.  An unreachable control plane drops the batch
@@ -43,6 +46,7 @@ class EventForwarder:
         self.site = site
         self.capacity = capacity
         self._lock = threading.Lock()
+        self._flush_lock = threading.Lock()
         self._buffer: deque = deque()
         self._dropped = 0
         self._forwarded = 0
@@ -70,25 +74,27 @@ class EventForwarder:
 
         A failed POST drops its batch (counted) rather than retrying:
         the feed is best-effort and the buffer must never grow without
-        bound against a dead control plane.
+        bound against a dead control plane.  Concurrent calls queue up
+        behind the one in progress.
         """
         sent = 0
-        while True:
-            with self._lock:
-                if not self._buffer:
-                    return sent
-                batch: List[Dict[str, Any]] = [
-                    self._buffer.popleft()
-                    for _ in range(min(MAX_BATCH, len(self._buffer)))
-                ]
-            try:
-                self.client.post_site_events(self.site, batch)
-            except Exception:
+        with self._flush_lock:
+            while True:
                 with self._lock:
-                    self._dropped += len(batch)
-                return sent
-            sent += len(batch)
-            self._forwarded += len(batch)
+                    if not self._buffer:
+                        return sent
+                    batch: List[Dict[str, Any]] = [
+                        self._buffer.popleft()
+                        for _ in range(min(MAX_BATCH, len(self._buffer)))
+                    ]
+                try:
+                    self.client.post_site_events(self.site, batch)
+                except Exception:
+                    with self._lock:
+                        self._dropped += len(batch)
+                    return sent
+                sent += len(batch)
+                self._forwarded += len(batch)
 
     def close(self) -> None:
         """Final flush (agent shutdown)."""
@@ -121,8 +127,7 @@ class ForwardingTelemetry:
     as the agent engine sees it: :meth:`job_sink` returns a live
     simulation-event sink for watched jobs (watch status arrives with
     the claim response — see ``RemoteJobSource.is_watched``), and
-    :meth:`flush` ships the buffered batch from the agent's
-    housekeeping threads.
+    :meth:`flush` ships the buffered batch.
     """
 
     def __init__(self, forwarder: EventForwarder, is_watched) -> None:
@@ -143,5 +148,5 @@ class ForwardingTelemetry:
         return LiveEventSink(emit, skip=SKIP_SIM_EVENTS)
 
     def flush(self) -> None:
-        """Ship whatever the simulations buffered since the last tick."""
+        """Ship whatever the simulations buffered since the last flush."""
         self.forwarder.flush()

@@ -16,6 +16,11 @@ through on its way to SSE consumers:
 - the adaptive campaign controller reports progress through
   :meth:`campaign_notify`.
 
+The ring also wakes the job path: a claim with nothing to lease waits
+on it for a transition that can make a job claimable
+(:func:`wakes_claims`), and the campaign controller for a terminal
+job.  That is the service's only notification mechanism.
+
 Watches are refcounted per job id: each open SSE stream on ``GET
 /v1/jobs/{id}/events`` registers one, and the claim response tells
 remote agents which of their freshly leased jobs are watched.  A
@@ -30,10 +35,15 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.sinks import LiveEventSink
 
-from repro.telemetry.ring import TelemetryRing
+from repro.telemetry.ring import TelemetryEvent, TelemetryRing
 
 #: Lifecycle kinds that end a job's event stream.
 TERMINAL_KINDS = ("job.done", "job.failed", "job.cancelled")
+
+#: Lifecycle kinds after which a waiting claim tries the store again: a
+#: requeued job, or a terminal one (it may release blocked dependents).
+#: A ``job.submitted`` wakes claims only when the job landed ``queued``.
+CLAIM_WAKE_KINDS = ("job.released", "job.retrying") + TERMINAL_KINDS
 
 #: Simulation event classes too chatty for a live feed (one
 #: ``ActivitySpan`` per compute segment, one ``CheckpointTaken`` per
@@ -43,6 +53,13 @@ TERMINAL_KINDS = ("job.done", "job.failed", "job.cancelled")
 #: restarts, recoveries) still stream; ``--trace-out`` keeps the
 #: exhaustive record.
 SKIP_SIM_EVENTS = ("ActivitySpan", "CheckpointTaken")
+
+
+def wakes_claims(event: TelemetryEvent) -> bool:
+    """Whether *event* is a transition that can make a job claimable."""
+    if event.kind == "job.submitted":
+        return event.data.get("state") == "queued"
+    return event.kind in CLAIM_WAKE_KINDS
 
 
 class TelemetryHub:

@@ -13,16 +13,18 @@ Consumers poll with :meth:`read_since` (resume from any sequence
 number; an eviction gap is reported, never silently skipped) and
 block efficiently with :meth:`wait_for` on the ring's condition
 variable.  The SSE streaming layer is a thin loop over exactly those
-two calls.
+two calls; :meth:`follow` is the same loop with a deadline, which the
+job path's waits (claims, the campaign controller) run.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,12 @@ class TelemetryRing:
                 return [], 0
             oldest = self._events[0].seq
             missed = max(0, oldest - last_seq - 1)
-            events = [e for e in self._events if e.seq > last_seq]
+            # Sequence numbers are contiguous, so the newer events are
+            # exactly the newest ``newer`` entries: read them off the
+            # tail instead of scanning the whole ring.
+            newer = self._next_seq - 1 - max(last_seq, oldest - 1)
+            events = list(itertools.islice(reversed(self._events), max(newer, 0)))
+            events.reverse()
             if limit is not None:
                 events = events[:limit]
             return events, missed
@@ -180,3 +187,25 @@ class TelemetryRing:
                     return False
                 self._cond.wait(remaining)
             return not self._closed and self._next_seq - 1 > last_seq
+
+    def follow(
+        self, last_seq: int, timeout: float
+    ) -> Iterator[Tuple[List[TelemetryEvent], int]]:
+        """Yield each ``(events, missed)`` batch newer than *last_seq*
+        as :meth:`read_since` returns it, until *timeout* elapses or
+        the ring closes.
+
+        A consumer waiting for a particular transition breaks out of
+        the loop when a batch holds one (or when *missed* is non-zero:
+        the evicted events may have held it); running off the end
+        means the deadline passed or the ring closed first.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self.wait_for(last_seq, remaining):
+                return
+            events, missed = self.read_since(last_seq)
+            if events:
+                last_seq = events[-1].seq
+            yield events, missed
