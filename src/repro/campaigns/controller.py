@@ -49,6 +49,8 @@ from repro.scenarios.compiler import (
     compile_cell_request,
     scenario_analytic_reason,
     scenario_cells,
+    scenario_grid,
+    scenario_point,
 )
 from repro.scenarios.spec import AdaptiveSpec, ScenarioSpec
 
@@ -292,18 +294,16 @@ class Campaign:
         self._refined_values: set = set()
         self._notify: NotifyFn = _no_notify
         if adaptive is not None:
-            base = scenario_cells(spec)
-            self.technique_order: Tuple[str, ...] = tuple(
-                dict.fromkeys(c.technique for c in base)
-            )
+            values, fractions, names = scenario_grid(spec)
+            self.technique_order: Tuple[str, ...] = tuple(dict.fromkeys(names))
             self.base_fractions: Tuple[float, ...] = tuple(
-                sorted(dict.fromkeys(c.fraction for c in base))
+                sorted(dict.fromkeys(fractions))
             )
             self.axis: Optional[str] = (
                 spec.sweep.axis if spec.sweep is not None else None
             )
             self.axis_values: Tuple[Optional[float], ...] = tuple(
-                dict.fromkeys(c.axis_value for c in base)
+                dict.fromkeys(values)
             )
             total_nodes = spec.platform.total_nodes
             if total_nodes is None:
@@ -311,7 +311,7 @@ class Campaign:
 
                 total_nodes = EXASCALE_NODES
             self._min_width = max(1.0 / total_nodes, 1e-4)
-            self._base_cells = base
+            self._base_cells = scenario_cells(spec)
         else:
             self.technique_order = ()
             self.base_fractions = ()
@@ -623,28 +623,13 @@ class Campaign:
                 crossover_fraction,
                 grid_crossover_fraction,
             )
-            from repro.failures.severity import SeverityModel
             from repro.platform.presets import exascale_system
-            from repro.units import years
 
-            mtbf_years = (
-                axis_value
-                if self.axis == "mtbf_years" and axis_value is not None
-                else self.spec.failures.mtbf_years
-            )
-            severity = (
-                SeverityModel.from_probabilities(
-                    self.spec.failures.severity_pmf
-                )
-                if self.spec.failures.severity_pmf is not None
-                else None
-            )
-            total_nodes = self.spec.platform.total_nodes
-            system = (
-                exascale_system(total_nodes)
-                if total_nodes is not None
-                else exascale_system()
-            )
+            # The same point resolver an exhaustive run uses.
+            point = scenario_point(self.spec, axis_value)
+            node_mtbf_s = point.config.node_mtbf_s
+            severity = point.app_config().severity_model()
+            system = exascale_system(point.config.system_nodes)
             grid = self.spec.grid
             if grid is not None and grid.objective in ("cost", "carbon"):
                 from repro.scenarios.compiler import _load_grid_traces
@@ -654,7 +639,7 @@ class Campaign:
                 prior = grid_crossover_fraction(
                     self.spec.workload.app_type,
                     system,
-                    years(mtbf_years),
+                    node_mtbf_s,
                     technique_small=best_lo,
                     technique_large=best_hi,
                     objective=grid.objective,
@@ -670,7 +655,7 @@ class Campaign:
             prior = crossover_fraction(
                 self.spec.workload.app_type,
                 system,
-                years(mtbf_years),
+                node_mtbf_s,
                 technique_small=best_lo,
                 technique_large=best_hi,
                 severity=severity,

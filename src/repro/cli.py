@@ -47,7 +47,13 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import __version__
-from repro.experiments.entry import RequestError, StudyRequest, run_request
+from repro.experiments.entry import (
+    DATACENTER_FIGS,
+    SCALING_FIGS,
+    RequestError,
+    StudyRequest,
+    run_request,
+)
 from repro.experiments.parallel import (
     CellProgress,
     ExecutorMetrics,
@@ -93,19 +99,27 @@ def _observe_requested(args: argparse.Namespace) -> bool:
 
 
 def _write_observability(result, args: argparse.Namespace) -> None:
-    """Write the study's event stream / metrics to the requested files."""
+    """Write the run's event stream / metrics to the requested files.
+    A scenario's *result* is its ``(axis value, study)`` list: the
+    studies' lines are written in axis order and their metrics merged."""
+    from repro.obs.sinks import MetricsSink
+
+    studies = [s for _, s in result] if isinstance(result, list) else [result]
     if args.trace_out:
+        written = 0
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            for line in result.trace_lines or ():
-                fh.write(line)
-                fh.write("\n")
-        print(
-            f"[wrote {len(result.trace_lines or ())} events to {args.trace_out}]",
-            file=sys.stderr,
-        )
+            for study in studies:
+                for line in study.trace_lines or ():
+                    fh.write(line)
+                    fh.write("\n")
+                written += len(study.trace_lines or ())
+        print(f"[wrote {written} events to {args.trace_out}]", file=sys.stderr)
     if args.metrics_out:
+        metrics = MetricsSink()
+        for study in studies:
+            metrics.merge(study.metrics or {})
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(result.metrics or {}, fh, indent=2, sort_keys=True)
+            json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"[wrote metrics to {args.metrics_out}]", file=sys.stderr)
 
@@ -124,18 +138,23 @@ def _request_from_args(name: str, args: argparse.Namespace) -> StudyRequest:
     )
 
 
+def _run_observed(request: StudyRequest, options, args) -> str:
+    """Run *request* through the shared entrypoint (service-identical),
+    writing ``--trace-out`` / ``--metrics-out`` when asked."""
+    observe = _observe_requested(args)
+    outcome = run_request(request, options=options, observe=observe)
+    if observe:
+        _write_observability(outcome.result, args)
+    return outcome.text
+
+
 def _run_figure(name: str, args: argparse.Namespace) -> str:
     """Run a figure through the shared entrypoint (service-identical)."""
     options = _executor_options(args)
-    observe = _observe_requested(args)
-    outcome = run_request(
-        _request_from_args(name, args), options=options, observe=observe
-    )
-    if observe and outcome.result is not None:
-        _write_observability(outcome.result, args)
+    text = _run_observed(_request_from_args(name, args), options, args)
     # Metrics go to stderr so csv/json stdout stays machine-readable.
     print(options.metrics.render(name), file=sys.stderr)
-    return outcome.text
+    return text
 
 
 def _run_entry(name: str, args: argparse.Namespace) -> str:
@@ -645,12 +664,10 @@ def _scenario_run(args: argparse.Namespace, name: str) -> int:
         request = unit.request
         if args.format is not None:
             request = replace(request, format=args.format)
-        outcome = run_request(request, options=options)
-        print(outcome.text)
+        text = _run_observed(request, options, args)
+        print(text)
         if args.export:
-            _scenario_export(
-                args.export, unit.label, request.format, outcome.text, campaign
-            )
+            _scenario_export(args.export, unit.label, request.format, text, campaign)
     print(
         options.metrics.render(f"scenario {spec.scenario.name}"),
         file=sys.stderr,
@@ -785,21 +802,15 @@ _ENERGY_ACTIONS = ("report",)
 def _analytic_cells(spec):
     """The (system, node_mtbf_s, severity, fractions, techniques,
     make_app) ingredients for the analytic grid/energy reports of one
-    scaling scenario; rejects specs the closed-form model cannot price."""
-    from repro.constants import (
-        EXASCALE_NODES,
-        SCALING_STUDY_BASELINE_S,
-        SCALING_STUDY_FRACTIONS,
-    )
-    from repro.failures.severity import SeverityModel
+    scaling scenario — the point a simulated run of it resolves to;
+    rejects specs the closed-form model cannot price."""
     from repro.platform.presets import exascale_system
-    from repro.resilience.registry import (
-        get_technique,
-        scaling_study_techniques,
+    from repro.resilience.registry import by_name
+    from repro.scenarios.compiler import (
+        scenario_analytic_reason,
+        scenario_grid,
+        scenario_point,
     )
-    from repro.scenarios.compiler import scenario_analytic_reason
-    from repro.units import MINUTE, years
-    from repro.workload.synthetic import make_application
 
     if spec.workload.study != "scaling":
         raise RequestError(
@@ -814,36 +825,17 @@ def _analytic_cells(spec):
     reason = scenario_analytic_reason(spec)
     if reason is not None:
         raise RequestError(f"analytic quotes unavailable: {reason}")
-    system = exascale_system(
-        spec.platform.total_nodes
-        if spec.platform.total_nodes is not None
-        else EXASCALE_NODES
+    point = scenario_point(spec)
+    system = exascale_system(point.config.system_nodes)
+    table = by_name()
+    return (
+        system,
+        point.config.node_mtbf_s,
+        point.app_config().severity_model(),
+        point.config.fractions,
+        [table[name] for name in scenario_grid(spec)[2]],
+        lambda fraction: point.application(system, fraction),
     )
-    node_mtbf_s = years(spec.failures.mtbf_years)
-    severity = (
-        SeverityModel.from_probabilities(spec.failures.severity_pmf)
-        if spec.failures.severity_pmf is not None
-        else None
-    )
-    fractions = (
-        spec.workload.fractions
-        if spec.workload.fractions is not None
-        else SCALING_STUDY_FRACTIONS
-    )
-    techniques = (
-        [get_technique(name) for name in spec.techniques]
-        if spec.techniques is not None
-        else list(scaling_study_techniques())
-    )
-
-    def make_app(fraction: float):
-        return make_application(
-            spec.workload.app_type,
-            nodes=system.fraction_to_nodes(fraction),
-            time_steps=max(1, round(SCALING_STUDY_BASELINE_S / MINUTE)),
-        )
-
-    return system, node_mtbf_s, severity, fractions, techniques, make_app
 
 
 def _load_grid_scenario(name: str):
@@ -1200,9 +1192,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help=(
-            "write the figure run's domain-event stream as JSON Lines "
-            "(one event per line; figs 1-5 only; disables the result cache "
-            "for the run)"
+            "write the run's domain-event stream as JSON Lines (one event "
+            "per line; fig1-fig5 and 'scenario run' only; disables the "
+            "result cache for the run)"
         ),
     )
     parser.add_argument(
@@ -1211,7 +1203,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write aggregated event counts and activity seconds as JSON "
-            "(figs 1-5 only; disables the result cache for the run)"
+            "(fig1-fig5 and 'scenario run' only; disables the result "
+            "cache for the run)"
         ),
     )
     parser.add_argument(
@@ -1386,6 +1379,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         # which are forked from it.
         execution.FAST_PATH_ENABLED = False
     try:
+        # Only one figure or scenario run writes the files (under
+        # 'all', each figure would overwrite the one before).
+        if _observe_requested(args) and not (
+            args.experiment in SCALING_FIGS + DATACENTER_FIGS
+            or (args.experiment, args.target) == ("scenario", "run")
+        ):
+            raise RequestError(
+                "--trace-out and --metrics-out apply only to fig1-fig5 "
+                "and 'scenario run'"
+            )
         if args.experiment == "scenario":
             return _cmd_scenario(args)
         if args.experiment == "grid":

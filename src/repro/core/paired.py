@@ -18,6 +18,8 @@ from repro.core.execution import ExecutionStats, ResilientExecution
 from repro.core.single_app import SingleAppConfig
 from repro.experiments.stats import SummaryStats, paired_summary
 from repro.failures.trace import FailureTrace, record_trace
+from repro.obs import live
+from repro.obs.sinks import Sink
 from repro.platform.system import HPCSystem
 from repro.resilience.base import ResilienceTechnique
 from repro.rng.streams import StreamFactory
@@ -47,13 +49,21 @@ def simulate_with_trace(
     system: HPCSystem,
     trace: FailureTrace,
     config: Optional[SingleAppConfig] = None,
+    sinks: Optional[Sequence[Sink]] = None,
 ) -> ExecutionStats:
-    """One execution of *app* under *technique* against *trace*."""
+    """One execution of *app* under *technique* against *trace*.
+
+    *sinks*, and the thread's activated live sinks, are attached to the
+    simulation's bus as in
+    :func:`~repro.core.single_app.simulate_application`."""
     config = config or SingleAppConfig()
     plan = technique.plan(
         app, system, config.node_mtbf_s, severity=config.severity_model()
     )
     sim = Simulator()
+    for sink in sinks or ():
+        sink.attach(sim.bus)
+    live.attach_current(sim.bus)
     engine = ResilientExecution(sim, plan)
     proc = sim.process(engine.run(), name=f"app-{app.app_id}")
     sim.process(

@@ -242,7 +242,8 @@ class StudyOutcome:
     the in-memory result object, for observability writers."""
 
     text: str
-    #: The study result object for figs 1-5 (None for tables/analysis).
+    #: The study result object for figs 1-5, the ``(axis value,
+    #: result)`` list of a scenario (None for tables/analysis).
     result: Any = None
     #: Extra metadata lines (kept separate so ``text`` stays exactly
     #: the machine-readable artifact).
@@ -365,10 +366,11 @@ def run_request(
 
     ``options`` carries worker count, caching, and the metrics sink
     exactly as for :func:`repro.experiments.parallel.run_cells`;
-    ``observe=True`` (figures only) collects the domain-event stream on
-    ``outcome.result``.  The output text is a pure function of the
-    request (and the package version) — serial, parallel, cached, CLI,
-    and service executions all render identical bytes.
+    ``observe=True`` (figures and scenarios) collects the domain-event
+    stream and metrics on ``outcome.result``.  The output text is a
+    pure function of the request (and the package version) — serial,
+    parallel, cached, observed, CLI, and service executions all render
+    identical bytes.
     """
     request.validate()
     if request.experiment == "table1":
@@ -386,7 +388,7 @@ def run_request(
     if request.experiment == "scenario":
         from repro.scenarios.runtime import run_scenario_request
 
-        return run_scenario_request(request, options)
+        return run_scenario_request(request, options, observe)
     from repro.experiments import fig1, fig2, fig3, fig4, fig5
 
     modules = {

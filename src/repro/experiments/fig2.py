@@ -55,15 +55,3 @@ def crossover_fraction(result: ScalingStudyResult) -> Optional[float]:
             return fraction
     return None
 
-
-def main(trials: int = 200, quick: bool = False) -> str:
-    """CLI body: run, render, and report the ML->PR crossover."""
-    cfg = config(trials=trials)
-    if quick:
-        cfg = cfg.quick(trials=min(trials, 10))
-    result = run(cfg)
-    text = render(result)
-    cross = crossover_fraction(result)
-    if cross is not None:
-        text += f"\nML -> PR crossover at {100 * cross:.0f}% of the system"
-    return text

@@ -46,10 +46,3 @@ def render(result: ScalingStudyResult) -> str:
     """Paper-style table of the result."""
     return render_scaling_study(result, TITLE)
 
-
-def main(trials: int = 200, quick: bool = False) -> str:
-    """CLI body: run at *trials* (quick mode caps at 10) and render."""
-    cfg = config(trials=trials)
-    if quick:
-        cfg = cfg.quick(trials=min(trials, 10))
-    return render(run(cfg))

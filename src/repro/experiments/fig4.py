@@ -88,16 +88,3 @@ def best_technique_per_rm(result: DatacenterStudyResult) -> Dict[str, str]:
         )
     return out
 
-
-def main(patterns: int = 50, quick: bool = False) -> str:
-    """CLI body: run at *patterns* and render with the best-per-RM line."""
-    cfg = config(patterns=patterns)
-    if quick:
-        cfg = cfg.quick()
-    result = run(cfg)
-    text = render(result)
-    best = best_technique_per_rm(result)
-    text += "\nbest technique per RM: " + ", ".join(
-        f"{rm}->{tech}" for rm, tech in best.items()
-    )
-    return text

@@ -122,17 +122,3 @@ def selection_benefit_significance(result: DatacenterStudyResult) -> Dict:
             out[bias.value][rm] = paired_summary(pr, sel)
     return out
 
-
-def main(patterns: int = 50, quick: bool = False) -> str:
-    """CLI body: run at *patterns*, render, and append the benefit table."""
-    cfg = config(patterns=patterns)
-    if quick:
-        cfg = cfg.quick()
-    result = run(cfg)
-    text = render(result)
-    benefit = selection_benefit(result)
-    lines = ["selection benefit (dropped-% reduction vs parallel recovery):"]
-    for bias, per_rm in benefit.items():
-        row = ", ".join(f"{rm}: {v:+.1f}" for rm, v in per_rm.items())
-        lines.append(f"  {bias:<22} {row}")
-    return text + "\n" + "\n".join(lines)

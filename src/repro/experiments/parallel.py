@@ -65,7 +65,7 @@ DEFAULT_CACHE_DIR = Path("results") / ".cache"
 
 #: Bumped whenever the cached payload layout changes; mismatched
 #: entries are treated as misses.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 # ---------------------------------------------------------------------------

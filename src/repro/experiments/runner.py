@@ -1,7 +1,11 @@
 """Experiment runners: the machinery shared by all figure drivers.
 
-- :func:`run_scaling_study` reproduces one Figs. 1-3 panel: a grid of
-  (system fraction x technique) mean efficiencies.
+- :func:`run_scaling_points` is the one scaling-study pipeline: a grid
+  of (study point x system fraction x technique) mean efficiencies,
+  where a point is one sweep-axis value.  :func:`run_scaling_study`
+  (one Figs. 1-3 panel) is its one-point case, and the scenario runtime
+  (:mod:`repro.scenarios.runtime`) lowers every generic scaling scenario
+  onto it.
 - :func:`run_datacenter_study` reproduces one group of Figs. 4-5 bars:
   dropped percentages per (resource manager x selector) over a common
   set of arrival patterns (the same patterns are replayed for every
@@ -21,7 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.datacenter import (
     DatacenterConfig,
@@ -34,6 +48,7 @@ from repro.experiments.config import DatacenterStudyConfig, ScalingStudyConfig
 from repro.experiments.parallel import (
     CellTask,
     ExecutorOptions,
+    cache_key,
     run_cells,
     technique_fingerprint,
 )
@@ -47,6 +62,11 @@ from repro.rng.streams import StreamFactory
 from repro.units import MINUTE
 from repro.workload.patterns import ArrivalPattern, PatternBias, PatternGenerator
 from repro.workload.synthetic import make_application
+
+if TYPE_CHECKING:
+    from repro.failures.burst import BurstModel
+    from repro.failures.generator import InterarrivalModel
+    from repro.failures.trace import FailureTrace
 
 
 def _fractions_equal(a: float, b: float) -> bool:
@@ -64,6 +84,10 @@ class ScalingCell:
     technique: str
     stats: Optional[SummaryStats]
     infeasible: bool
+    #: With grid accounting: the cell's priced trials (a
+    #: :class:`repro.scenarios.runtime.GridCellAccount`; None when the
+    #: cell is infeasible or the study is not priced).
+    grid: Any = None
 
     @property
     def mean_efficiency(self) -> float:
@@ -109,54 +133,118 @@ class ScalingStudyResult:
         return max(at, key=lambda c: c.mean_efficiency).technique
 
 
-def _scaling_cell_body(
-    app, technique, system, trials, app_config, observe=False, first_trial=0
-):
-    """Compute one scaling cell; returns plain data (cache payload).
+@dataclass(frozen=True)
+class StudyPoint:
+    """One point of a scaling study (one sweep-axis value): the panel's
+    config plus the failure models a :class:`ScalingStudyConfig` does
+    not carry."""
 
-    With *observe*, per-cell export/metrics sinks ride along and their
-    plain-data contents are appended to the payload — the cell stays a
-    pure function returning picklable data, so observation works
-    unchanged across worker processes.  *first_trial* offsets the trial
-    seed indices (see :func:`repro.core.single_app.run_trials`)."""
-    if not observe:
-        trial_set = run_trials(
-            app, technique, system, trials, app_config, first_trial=first_trial
+    config: ScalingStudyConfig
+    #: The sweep-axis value (None without a sweep).
+    value: Optional[float] = None
+    burst: Optional["BurstModel"] = None
+    interarrival: Optional["InterarrivalModel"] = None
+    #: Prefix of the point's cell labels (default: the app type).
+    label: str = ""
+
+    def app_config(self) -> SingleAppConfig:
+        """The single-application environment every cell of the point
+        runs in."""
+        return SingleAppConfig(
+            node_mtbf_s=self.config.node_mtbf_s,
+            severity_pmf=self.config.severity_pmf,
+            seed=self.config.seed,
+            burst=self.burst,
+            interarrival=self.interarrival,
         )
-        return trial_set.infeasible, tuple(trial_set.efficiencies)
-    export = JsonlExportSink()
-    metrics = MetricsSink()
-    trial_set = run_trials(
-        app,
-        technique,
-        system,
-        trials,
-        app_config,
-        sinks=(export, metrics),
-        first_trial=first_trial,
-    )
-    return (
-        trial_set.infeasible,
-        tuple(trial_set.efficiencies),
-        tuple(export.lines),
-        metrics.to_dict(),
-    )
+
+    def application(self, system, fraction: float):
+        """The point's application at *fraction* of *system*."""
+        return make_application(
+            self.config.app_type,
+            nodes=system.fraction_to_nodes(fraction),
+            time_steps=max(1, round(self.config.baseline_s / MINUTE)),
+        )
 
 
-def run_scaling_study(
-    config: ScalingStudyConfig,
+def _cell_body(
+    app, technique, system, trials, app_config, trace, grid, observe, first_trial
+):
+    """Compute one scaling cell; returns plain data (cache payload):
+    ``(infeasible, efficiencies, account)``, plus ``(lines, metrics)``
+    with *observe*.
+
+    - *trace* replays one recorded failure realization instead of
+      sampling ``trials`` trials.
+    - *grid* prices each trial's :class:`ExecutionStats` through its
+      ``account`` method (the account is None without it).
+    - *observe* attaches per-cell export/metrics sinks, whose plain-data
+      contents extend the payload; the cell stays a pure function
+      returning picklable data, so observation works unchanged across
+      worker processes.
+    - *first_trial* offsets the trial seed indices (see
+      :func:`repro.core.single_app.run_trials`).
+    """
+    sinks = (JsonlExportSink(), MetricsSink()) if observe else None
+    if trace is None:
+        trial_set = run_trials(
+            app,
+            technique,
+            system,
+            trials,
+            app_config,
+            keep_stats=grid is not None,
+            sinks=sinks,
+            first_trial=first_trial,
+        )
+        infeasible = trial_set.infeasible
+        efficiencies, stats = trial_set.efficiencies, trial_set.stats
+    else:
+        # Imported here: repro.core.paired imports this package.
+        from repro.core.paired import simulate_with_trace
+
+        infeasible = not technique.fits(app, system)
+        stats = [] if infeasible else [
+            simulate_with_trace(
+                app, technique, system, trace, app_config, sinks=sinks
+            )
+        ]
+        efficiencies = [s.efficiency() for s in stats]
+    account = grid.account(stats) if grid is not None and stats else None
+    payload = (infeasible, tuple(efficiencies), account)
+    if observe:
+        export, metrics = sinks
+        payload += (tuple(export.lines), metrics.to_dict())
+    return payload
+
+
+def run_scaling_points(
+    points: Sequence[StudyPoint],
     techniques: Optional[Sequence[ResilienceTechnique]] = None,
     progress: Optional[Callable[[str], None]] = None,
     options: Optional[ExecutorOptions] = None,
     observe: bool = False,
-) -> ScalingStudyResult:
-    """Run one Sec. V panel (Figs. 1-3).
+    key: Any = None,
+    trace: Optional["FailureTrace"] = None,
+    grid: Any = None,
+    first_trial: int = 0,
+) -> List[ScalingStudyResult]:
+    """Run a scaling study at every point; one result per point, in
+    point order.
 
-    ``options`` selects worker count and caching; results are
-    bit-identical for any ``jobs`` because each trial's seed derives
-    from ``config.seed`` and the trial index alone.
+    Every (point x fraction x technique) cell runs in one
+    :func:`~repro.experiments.parallel.run_cells` call, so results are
+    bit-identical for any ``options.jobs``: each trial's seed derives
+    from the point's seed and the trial index alone.  The cell options
+    (*trace*, *grid*, *observe*, *first_trial*) are those of
+    :func:`_cell_body`; a priced cell's account rides on its
+    :class:`ScalingCell` and adds to the ``grid.*`` counters here, so
+    cache hits count too.
 
-    ``observe=True`` additionally collects the study's full domain-event
+    *key* identifies the study in cell cache keys (default: each
+    point's config); it must determine every input the points do not.
+
+    ``observe=True`` additionally collects each point's domain-event
     stream (``result.trace_lines``, JSONL) and merged metrics
     (``result.metrics``).  Observation is passive — the numeric results
     are bit-identical with it on or off — but observing cells bypass
@@ -166,71 +254,85 @@ def run_scaling_study(
     techniques = (
         list(techniques) if techniques is not None else scaling_study_techniques()
     )
-    system = exascale_system(config.system_nodes)
-    app_config = SingleAppConfig(
-        node_mtbf_s=config.node_mtbf_s,
-        severity_pmf=config.severity_pmf,
-        seed=config.seed,
-    )
+    fingerprints = [technique_fingerprint(t) for t in techniques]
+    studies: List[Tuple[ScalingStudyResult, Optional[MetricsSink]]] = []
     tasks: List[CellTask] = []
-    labels: List[Tuple[float, str]] = []
-    for fraction in config.fractions:
-        nodes = system.fraction_to_nodes(fraction)
-        app = make_application(
-            config.app_type,
-            nodes=nodes,
-            time_steps=max(1, round(config.baseline_s / MINUTE)),
-        )
-        for technique in techniques:
-            tasks.append(
-                CellTask(
-                    fn=lambda app=app, technique=technique: _scaling_cell_body(
-                        app, technique, system, config.trials, app_config, observe
-                    ),
-                    key_parts=(
-                        None
+    cells: List[Tuple[ScalingStudyResult, Optional[MetricsSink], float, str, str]] = []
+    for point in points:
+        config = point.config
+        result = ScalingStudyResult(config, trace_lines=[] if observe else None)
+        sink = MetricsSink() if observe else None
+        studies.append((result, sink))
+        system = exascale_system(config.system_nodes)
+        app_config = point.app_config()
+        prefix = point.label or config.app_type
+        # Hashed once per point, so each cell key is flat plain data.
+        study_key = cache_key(config if key is None else key)
+        for fraction in config.fractions:
+            app = point.application(system, fraction)
+            for technique, fingerprint in zip(techniques, fingerprints):
+                tasks.append(
+                    CellTask(
+                        fn=partial(
+                            _cell_body,
+                            app,
+                            technique,
+                            system,
+                            config.trials,
+                            app_config,
+                            trace,
+                            grid,
+                            observe,
+                            first_trial,
+                        ),
+                        key_parts=None
                         if observe
                         else (
                             "scaling",
-                            config,
-                            technique_fingerprint(technique),
+                            study_key,
+                            point.value,
                             fraction,
-                        )
-                    ),
-                    trials=config.trials,
-                    label=f"{config.app_type} {100 * fraction:g}% {technique.name}",
+                            fingerprint,
+                            config.trials,
+                            first_trial,
+                        ),
+                        trials=config.trials,
+                        label=f"{prefix} {100 * fraction:g}% {technique.name}",
+                    )
                 )
-            )
-            labels.append((fraction, technique.name))
+                cells.append((result, sink, fraction, technique.name, prefix))
 
-    outcomes = run_cells(tasks, options)
-
-    result = ScalingStudyResult(config=config)
-    merged_metrics = MetricsSink() if observe else None
-    if observe:
-        result.trace_lines = []
-    for (fraction, technique_name), outcome in zip(labels, outcomes):
-        infeasible, efficiencies = outcome[0], outcome[1]
-        if observe:
-            result.trace_lines.extend(outcome[2])
-            merged_metrics.merge(outcome[3])
-        if infeasible:
-            cell = ScalingCell(fraction, technique_name, None, True)
-        else:
-            cell = ScalingCell(
-                fraction,
-                technique_name,
-                SummaryStats.from_samples(efficiencies),
-                False,
-            )
-        result.cells.append(cell)
+    for (result, sink, fraction, name, prefix), outcome in zip(
+        cells, run_cells(tasks, options)
+    ):
+        infeasible, efficiencies, account = outcome[:3]
+        if account is not None:
+            account.count()
+        if sink is not None:
+            result.trace_lines.extend(outcome[3])
+            sink.merge(outcome[4])
+        stats = None if infeasible else SummaryStats.from_samples(efficiencies)
+        result.cells.append(ScalingCell(fraction, name, stats, infeasible, account))
         if progress is not None:
-            progress(
-                f"{config.app_type} {100 * fraction:5.1f}% "
-                f"{technique_name:<22} done"
-            )
-    if merged_metrics is not None:
-        result.metrics = merged_metrics.to_dict()
+            progress(f"{prefix} {100 * fraction:5.1f}% {name:<22} done")
+    for result, sink in studies:
+        if sink is not None:
+            result.metrics = sink.to_dict()
+    return [result for result, _ in studies]
+
+
+def run_scaling_study(
+    config: ScalingStudyConfig,
+    techniques: Optional[Sequence[ResilienceTechnique]] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    options: Optional[ExecutorOptions] = None,
+    observe: bool = False,
+) -> ScalingStudyResult:
+    """Run one Sec. V panel (Figs. 1-3): the one-point case of
+    :func:`run_scaling_points`, with the same options and guarantees."""
+    (result,) = run_scaling_points(
+        [StudyPoint(config)], techniques, progress, options, observe
+    )
     return result
 
 

@@ -3,18 +3,22 @@
 A *scenario* is a schema-validated TOML/JSON document describing one
 study — platform, failure regime, workload, technique set, sweep axis,
 trials and seed — which a compiler lowers onto the existing experiment
-machinery (:class:`repro.experiments.entry.StudyRequest` and the
-parallel cell executor), so scenarios inherit parallelism, caching,
-the failure-horizon fast path, and observability for free.
+machinery (:class:`repro.experiments.entry.StudyRequest` and the one
+scaling-study pipeline the figures run on), so scenarios inherit
+parallelism, caching, the failure-horizon fast path, and observability
+(``--trace-out`` / ``--metrics-out``) for free.
 
 Layers:
 
 - :mod:`repro.scenarios.schema` — strict parsing with field-path errors;
 - :mod:`repro.scenarios.spec` — the frozen spec tree and its canonical
   JSON / SHA-256 identity;
-- :mod:`repro.scenarios.compiler` — lowering to study requests;
+- :mod:`repro.scenarios.compiler` — lowering to study requests, the
+  study grid (:func:`~repro.scenarios.compiler.scenario_grid`) that
+  runs and adaptive campaigns both enumerate, and its study points
+  (:func:`~repro.scenarios.compiler.scenario_point`);
 - :mod:`repro.scenarios.runtime` — execution of generic (non-paper)
-  scenarios through the cell executor;
+  scenarios through :func:`repro.experiments.runner.run_scaling_points`;
 - :mod:`repro.scenarios.library` — the bundled ``.toml`` scenarios.
 """
 

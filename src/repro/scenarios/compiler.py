@@ -15,7 +15,8 @@ the lowering.  Two paths exist:
   Weibull/lognormal/burst/trace regimes, sweeps) compiles to one
   self-contained ``experiment="scenario"`` request embedding the
   canonical spec JSON (and, for trace replay, the trace JSONL), which
-  :mod:`repro.scenarios.runtime` executes through the cell executor.
+  :mod:`repro.scenarios.runtime` resolves into study points and runs
+  through the figures' scaling-study pipeline (observation included).
 
 Compilation also resolves and validates the trace file for trace
 scenarios and names the analytic-model bypass reason for non-Poisson
@@ -27,10 +28,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.constants import SCALING_STUDY_FRACTIONS, SCALING_STUDY_TRIALS
+from repro.constants import (
+    EXASCALE_NODES,
+    SCALING_STUDY_FRACTIONS,
+    SCALING_STUDY_TRIALS,
+)
+from repro.experiments.config import ScalingStudyConfig
 from repro.experiments.entry import StudyRequest
+from repro.experiments.runner import StudyPoint
+from repro.failures.burst import BurstModel
+from repro.failures.generator import LognormalInterarrivals, WeibullInterarrivals
 from repro.failures.trace import TraceFormatError, load_trace, trace_to_jsonl
 from repro.inputs import Fields, decode_json
 from repro.scenarios.errors import ScenarioError
@@ -40,6 +50,7 @@ from repro.scenarios.spec import (
     canonical_json,
     spec_sha256,
 )
+from repro.units import years
 
 if TYPE_CHECKING:
     from repro.grid.curves import TraceCurve
@@ -302,36 +313,76 @@ class CampaignCell:
     technique: str
 
 
-def scenario_cells(spec: ScenarioSpec) -> Tuple[CampaignCell, ...]:
-    """*spec*'s study grid as :class:`CampaignCell` triples, in the
-    same order the generic runtime enumerates them (axis value
-    outermost, technique innermost)."""
+def scenario_grid(
+    spec: ScenarioSpec,
+) -> Tuple[Tuple[Optional[float], ...], Tuple[float, ...], Tuple[str, ...]]:
+    """*spec*'s study grid with its defaults filled in: the sweep-axis
+    values (``(None,)`` without a sweep), the system fractions and the
+    technique names.  The generic runtime and :func:`scenario_cells`
+    both enumerate it, axis value outermost and technique innermost, so
+    an adaptive campaign's cells are exactly an exhaustive run's."""
     from repro.resilience.registry import scaling_study_techniques
 
     if spec.workload.study != "scaling":
         raise ScenarioError(
-            "workload.study",
-            "adaptive campaigns are only supported for scaling studies",
+            "workload.study", "only scaling studies have a cell grid"
         )
-    axis_values: Tuple[Optional[float], ...] = (
-        spec.sweep.values if spec.sweep is not None else (None,)
-    )
-    fractions = (
+    return (
+        spec.sweep.values if spec.sweep is not None else (None,),
         spec.workload.fractions
         if spec.workload.fractions is not None
-        else SCALING_STUDY_FRACTIONS
-    )
-    techniques = (
+        else SCALING_STUDY_FRACTIONS,
         spec.techniques
         if spec.techniques is not None
-        else tuple(t.name for t in scaling_study_techniques())
+        else tuple(t.name for t in scaling_study_techniques()),
     )
-    return tuple(
-        CampaignCell(axis_value=value, fraction=fraction, technique=technique)
-        for value in axis_values
-        for fraction in fractions
-        for technique in techniques
+
+
+def scenario_point(
+    spec: ScenarioSpec, value: Optional[float] = None, trials: int = 1
+) -> StudyPoint:
+    """*spec* at one sweep-axis value (None without a sweep): the MTBF,
+    severity, system size, fractions and seed of the point's config,
+    and its burst and interarrival models (None = width-1 failures and
+    Poisson arrivals).  The generic runtime, the campaign controller's
+    refinement prior and the analytic ``grid``/``energy`` views all
+    resolve a spec through this one function."""
+    failures = spec.failures
+    axis = spec.sweep.axis if spec.sweep is not None else None
+
+    def knob(name: str):
+        return value if axis == name else getattr(failures, name)
+
+    interarrival = None
+    if failures.regime == "weibull":
+        interarrival = WeibullInterarrivals(shape=knob("shape"))
+    elif failures.regime == "lognormal":
+        interarrival = LognormalInterarrivals(sigma=knob("sigma"))
+    burst_mean = knob("burst_mean_width")
+    burst = None
+    if burst_mean is not None and burst_mean > 1.0:
+        max_width = failures.burst_max_width
+        burst = BurstModel.with_mean_width(
+            burst_mean, max_width=max_width if max_width is not None else 64
+        )
+    total_nodes = spec.platform.total_nodes
+    config = ScalingStudyConfig(
+        app_type=spec.workload.app_type,
+        node_mtbf_s=years(knob("mtbf_years")),
+        fractions=tuple(scenario_grid(spec)[1]),
+        trials=trials,
+        system_nodes=total_nodes if total_nodes is not None else EXASCALE_NODES,
+        seed=spec.run.seed,
+        severity_pmf=failures.severity_pmf,
     )
+    label = spec.scenario.name + (f" {axis}={value:g}" if value is not None else "")
+    return StudyPoint(config, value, burst, interarrival, label)
+
+
+def scenario_cells(spec: ScenarioSpec) -> Tuple[CampaignCell, ...]:
+    """*spec*'s study grid (:func:`scenario_grid`) as
+    :class:`CampaignCell` triples, in the generic runtime's order."""
+    return tuple(CampaignCell(*cell) for cell in product(*scenario_grid(spec)))
 
 
 def cell_scenario(spec: ScenarioSpec, cell: CampaignCell) -> ScenarioSpec:

@@ -57,6 +57,32 @@ def client(service):
 
 
 @pytest.fixture
+def gate(service, monkeypatch):
+    """Hold the worker before it runs each claimed job until the test
+    opens the gate, so a stream can attach first: a watch must exist
+    when the job starts for its simulation events to stream."""
+    opened = threading.Event()
+    run_job = service.pool._run_job
+
+    def gated(record, executor):
+        opened.wait(60)
+        run_job(record, executor)
+
+    monkeypatch.setattr(service.pool, "_run_job", gated)
+    yield opened
+    opened.set()
+
+
+def open_once_watched(gate, client):
+    """Open *gate* once ``/v1/metrics`` counts one watched job."""
+    deadline = time.monotonic() + 30
+    while client.metrics()["telemetry"]["watched_jobs"] != 1:
+        assert time.monotonic() < deadline, "watch never attached"
+        time.sleep(0.01)
+    gate.set()
+
+
+@pytest.fixture
 def paused_client(paused_service):
     return ServiceClient(paused_service.url, timeout=30.0)
 
@@ -218,15 +244,14 @@ class TestJobStream:
         assert frames[-1]["data"]["kind"] == "job.failed"
         assert elapsed < paused_service.config.sse_heartbeat_s
 
-    def test_watched_job_streams_live_simulation_events(self, client):
-        # Pin the single worker with a blocker so the dependent target
-        # is still pending when its stream (and therefore its watch)
-        # opens — the deterministic version of "attach before it runs".
-        blocker = client.submit(dict(FIG1, trials=1))
-        target = client.submit(dict(FIG1, depends_on=[blocker["id"]]))
-        frames = list(
-            client.iter_events(job_id=target["id"], last_event_id=0)
-        )
+    def test_watched_job_streams_live_simulation_events(self, client, gate):
+        # The gated worker cannot start the target before its stream
+        # (and therefore its watch) is open.
+        target = client.submit(FIG1)
+        stream = client.iter_events(job_id=target["id"], last_event_id=0)
+        frames = [next(stream)]
+        open_once_watched(gate, client)
+        frames.extend(stream)
         kinds = frame_kinds(frames)
         assert "sim.TrialStarted" in kinds
         assert "sim.ExecutionStarted" in kinds
@@ -378,11 +403,26 @@ class TestRemoteAgentPath:
 
 
 class TestWatchCommand:
-    def test_watch_follows_a_job_and_exits_0(self, client, service, capsys):
+    def test_watch_follows_a_job_and_exits_0(
+        self, client, service, gate, capsys
+    ):
         from repro.cli import main
 
+        # The gated worker runs the job only once the watch is
+        # attached; a job that finished first would stream just its
+        # snapshot and ``end``.
         job = client.submit(FIG1)
-        assert main(["watch", job["id"], "--url", service.url]) == 0
+        codes = []
+        watcher = threading.Thread(
+            target=lambda: codes.append(
+                main(["watch", job["id"], "--url", service.url])
+            )
+        )
+        watcher.start()
+        open_once_watched(gate, client)
+        watcher.join(timeout=120)
+        assert not watcher.is_alive()
+        assert codes == [0]
         out = capsys.readouterr().out
         assert out.startswith("snapshot")
         assert "job.done" in out

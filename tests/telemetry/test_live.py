@@ -116,3 +116,18 @@ class TestSimulationIntegration:
         bus = EventBus()
         live.attach_current(bus)
         assert not bus.observed
+
+    def test_watched_trace_replay_streams_live_events(self):
+        # A watched trace-replay job streams its replays' events like a
+        # sampled scenario's trials, and renders the same bytes.
+        from repro.experiments.entry import run_request
+        from repro.scenarios.compiler import compile_scenario
+        from repro.scenarios.library import load_named
+
+        (unit,) = compile_scenario(load_named("trace-replay"), quick=True).units
+        kinds = []
+        with live.activated(LiveEventSink(lambda kind, _: kinds.append(kind))):
+            watched = run_request(unit.request).text
+        assert "sim.ExecutionStarted" in kinds
+        assert "sim.FailureInjected" in kinds
+        assert run_request(unit.request).text == watched
