@@ -2,9 +2,9 @@
 """Visualize one resilient execution as an ASCII timeline.
 
 Runs a single application under each technique in an unreliable
-environment (2.5-year node MTBF) with timeline recording enabled and
-prints where the wall-clock time went: forward work, recovery
-(re-execution of lost work), checkpointing, restarts.
+environment (2.5-year node MTBF) with a timeline sink on the
+simulator's bus and prints where the wall-clock time went: forward
+work, recovery (re-execution of lost work), checkpointing, restarts.
 
 Run:  python examples/execution_timeline.py
 """
@@ -13,6 +13,7 @@ from repro.core.execution import ResilientExecution
 from repro.core.single_app import SingleAppConfig, failure_driver
 from repro.core.timeline import render_timeline
 from repro.failures.generator import AppFailureGenerator
+from repro.obs.sinks import TimelineSink
 from repro.platform.presets import exascale_system
 from repro.resilience.checkpoint_restart import CheckpointRestart
 from repro.resilience.multilevel import MultilevelCheckpoint
@@ -33,7 +34,9 @@ def main() -> None:
             app, system, config.node_mtbf_s, severity=config.severity_model()
         )
         sim = Simulator()
-        engine = ResilientExecution(sim, plan, record_timeline=True)
+        timeline = TimelineSink()
+        timeline.attach(sim.bus)
+        engine = ResilientExecution(sim, plan)
         proc = sim.process(engine.run(), name="app")
         generator = AppFailureGenerator(
             StreamFactory(config.seed).stream("failures"),
@@ -50,7 +53,7 @@ def main() -> None:
             f"failures {stats.failures}, restarts {stats.restarts}, "
             f"efficiency {stats.efficiency():.3f}"
         )
-        print(render_timeline(engine.timeline))
+        print(render_timeline(timeline.spans))
         print()
 
 

@@ -15,7 +15,10 @@ checkpointing, optionally a contended PFS slot pool) two ways:
 Per-job completion times, drop decisions, and execution stats must be
 bit-identical between the two (the script refuses to write results
 otherwise); wall-time ratios are recorded in ``BENCH_datacenter.json``
-at the repository root.
+at the repository root.  Each cell also runs observed
+(``<cell>_observed``): the ``--trace-out``/``--metrics-out`` sinks are
+attached on both paths, and their JSONL lines and metrics join the
+digest, so any divergence in the exported stream refuses the write too.
 
 Usage::
 
@@ -39,6 +42,7 @@ from repro.core.datacenter import (
     run_datacenter,
     run_datacenter_batch,
 )
+from repro.obs.sinks import JsonlExportSink, MetricsSink
 from repro.platform.presets import exascale_system
 from repro.resilience.registry import get_technique
 from repro.rng.streams import StreamFactory
@@ -131,8 +135,9 @@ def _digest(results) -> tuple:
     return tuple(rows)
 
 
-def _cell_runner(cell: dict, fast: bool):
-    """Closure running one cell end to end on one path."""
+def _cell_runner(cell: dict, fast: bool, observed: bool):
+    """Closure running one cell end to end on one path; *observed*
+    attaches the export and metrics sinks."""
     nodes = cell["system_nodes"]
     patterns = PatternGenerator(StreamFactory(cell["seed"]), nodes).generate_many(
         count=cell["patterns"]
@@ -154,6 +159,7 @@ def _cell_runner(cell: dict, fast: bool):
         def selector_factory():
             return _FixedSelector(technique)
 
+        sinks = (JsonlExportSink(), MetricsSink()) if observed else ()
         started = time.perf_counter()
         if fast:
             results = run_datacenter_batch(
@@ -162,6 +168,7 @@ def _cell_runner(cell: dict, fast: bool):
                 selector_factory,
                 exascale_system(total_nodes=nodes),
                 config,
+                sinks=sinks,
             )
         else:
             results = [
@@ -171,16 +178,21 @@ def _cell_runner(cell: dict, fast: bool):
                     selector_factory(),
                     exascale_system(total_nodes=nodes),
                     config,
+                    sinks=sinks,
                 )
                 for pattern in patterns
             ]
         elapsed = time.perf_counter() - started
         execution.FAST_PATH_ENABLED = True
+        digest = _digest(results)
+        if observed:
+            export, metrics = sinks
+            digest += (tuple(export.lines), metrics.to_dict())
         extras = {
             "jobs": sum(len(result.records) for result in results),
             "patterns": len(results),
         }
-        return elapsed, _digest(results), extras
+        return elapsed, digest, extras
 
     return run
 
@@ -209,20 +221,24 @@ def main() -> int:
 
     cells = SMOKE_CELLS if args.smoke else CELLS
     records = {}
-    for name, cell in cells.items():
-        record = measure_pair(
-            _cell_runner(cell, fast=False),
-            _cell_runner(cell, fast=True),
-            repeats=args.repeats,
-            warmup=args.warmup,
-        )
-        record["cell"] = cell
-        records[name] = record
-        print(
-            f"{name}: wall {record['stepped_wall_s'] * 1e3:.1f} ms -> "
-            f"{record['fast_wall_s'] * 1e3:.1f} ms "
-            f"({record['speedup']:.2f}x), identical={record['bit_identical']}"
-        )
+    for base_name, cell in cells.items():
+        for suffix, observed in (("", False), ("_observed", True)):
+            name = base_name + suffix
+            record = measure_pair(
+                _cell_runner(cell, fast=False, observed=observed),
+                _cell_runner(cell, fast=True, observed=observed),
+                repeats=args.repeats,
+                warmup=args.warmup,
+            )
+            record["cell"] = cell
+            record["observed"] = observed
+            records[name] = record
+            print(
+                f"{name}: wall {record['stepped_wall_s'] * 1e3:.1f} ms -> "
+                f"{record['fast_wall_s'] * 1e3:.1f} ms "
+                f"({record['speedup']:.2f}x), "
+                f"identical={record['bit_identical']}"
+            )
     return write_results(
         args.out,
         "datacenter mapping loop: batched fast path vs stepped execution",

@@ -197,6 +197,7 @@ def _run_timeline(args: argparse.Namespace) -> str:
     from repro.core.single_app import SingleAppConfig, failure_driver
     from repro.core.timeline import render_timeline
     from repro.failures.generator import AppFailureGenerator
+    from repro.obs.sinks import TimelineSink
     from repro.platform.presets import exascale_system
     from repro.resilience.registry import datacenter_techniques
     from repro.rng.streams import StreamFactory
@@ -215,7 +216,9 @@ def _run_timeline(args: argparse.Namespace) -> str:
             app, system, config.node_mtbf_s, severity=config.severity_model()
         )
         sim = Simulator()
-        engine = ResilientExecution(sim, plan, record_timeline=True)
+        timeline = TimelineSink()
+        timeline.attach(sim.bus)
+        engine = ResilientExecution(sim, plan)
         proc = sim.process(engine.run(), name="app")
         generator = AppFailureGenerator(
             StreamFactory(config.seed).stream("failures"),
@@ -230,7 +233,7 @@ def _run_timeline(args: argparse.Namespace) -> str:
             f"=== {technique.name} ===\n"
             f"failures {stats.failures}, restarts {stats.restarts}, "
             f"efficiency {stats.efficiency():.3f}\n"
-            + render_timeline(engine.timeline)
+            + render_timeline(timeline.spans)
         )
     return "\n\n".join(blocks)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Set
 
 from repro.constants import DEFAULT_NODE_MTBF_S
@@ -42,8 +43,10 @@ from repro.failures.generator import Failure
 from repro.failures.injector import FailureInjector
 from repro.failures.severity import SeverityModel
 from repro.obs import live
+from repro.obs.bus import EventBus
 from repro.obs.counters import counter_value, increment
 from repro.obs.events import (
+    DomainEvent,
     JobArrived,
     JobCompleted,
     JobDropped,
@@ -58,7 +61,6 @@ from repro.rm.base import ResourceManager
 from repro.rm.slack import remaining_slack
 from repro.rng.streams import StreamFactory
 from repro.sim.engine import Simulator
-from repro.sim.events import EventKind
 from repro.sim.process import Process
 from repro.sim.resources import SlotPool
 from repro.units import DAY
@@ -490,7 +492,7 @@ class DatacenterSimulator:
         if self._mapping_scheduled:
             return
         self._mapping_scheduled = True
-        self.sim.schedule(0.0, self._run_mapping, kind=EventKind.MAPPING, priority=10)
+        self.sim.schedule(0.0, self._run_mapping, priority=10)
 
     def _run_mapping(self, _event) -> None:
         self._mapping_scheduled = False
@@ -539,7 +541,6 @@ class DatacenterSimulator:
             self.sim.schedule_at(
                 app.arrival_time,
                 lambda _ev, a=app: self._on_arrival(a),
-                kind=EventKind.ARRIVAL,
             )
             last_arrival = max(last_arrival, app.arrival_time)
         self._schedule_mapping()
@@ -599,32 +600,39 @@ def run_datacenter(
 ) -> DatacenterResult:
     """Convenience wrapper: build and run one simulation.
 
-    *sinks* are attached to the simulation's instrumentation bus before
-    the run; instrumentation is passive, so any sink configuration
-    (including none) produces bit-identical results.  An optional
-    *plan_cache* (scoped to a fixed system/config — see
+    *sinks*, and the thread's activated live sinks, receive the trial's
+    events in one order that does not depend on the execution path:
+    the trial markers around the simulator's events sorted by
+    ``(time, app_id)``.  A fast-path jump publishes its job's events
+    when it is realized, so the simulator's own bus interleaves jobs by
+    path; each job's own sequence is the stepped one, and the stable
+    sort keeps it.  Instrumentation is passive, so any sink
+    configuration (including none) produces bit-identical results on
+    the same path, and an unobserved trial buffers nothing.  An
+    optional *plan_cache* (scoped to a fixed system/config — see
     :class:`PlanCache`) skips redundant plan construction; cached plans
     are value-identical, so results do not change."""
     simulator = DatacenterSimulator(
         pattern, manager, selector, system, config, plan_cache=plan_cache
     )
-    if sinks:
-        for sink in sinks:
-            sink.attach(simulator.sim.bus)
+    bus = EventBus()
+    for sink in sinks or ():
+        sink.attach(bus)
     # Thread-locally activated live sinks (the telemetry feed of a
-    # watched service job); a no-op when nothing is activated, so
-    # unwatched trials keep the unobserved fast path.
-    live.attach_current(simulator.sim.bus)
-    started = TrialStarted(
-        time=0.0, scope="datacenter", trial=pattern.index
-    )
+    # watched service job); a no-op when nothing is activated.
+    live.attach_current(bus)
+    events: List[DomainEvent] = []
+    if bus.has_subscribers:
+        simulator.sim.bus.subscribe_all(events.append)
     increment("datacenter.simulations")
-    simulator.sim.bus.publish(started)
+    bus.publish(TrialStarted(time=0.0, scope="datacenter", trial=pattern.index))
     result = simulator.run()
-    finished = TrialFinished(
-        time=result.end_time, scope="datacenter", trial=pattern.index
+    events.sort(key=attrgetter("time", "app_id"))
+    for event in events:
+        bus.publish(event)
+    bus.publish(
+        TrialFinished(time=result.end_time, scope="datacenter", trial=pattern.index)
     )
-    simulator.sim.bus.publish(finished)
     increment("datacenter.completed")
     return result
 

@@ -55,7 +55,6 @@ from repro.obs.events import (
     ReplicaAbsorbed,
     RestartStarted,
 )
-from repro.obs.sinks import TimelineSink
 from repro.resilience.base import CheckpointLevel, ExecutionPlan
 from repro.sim.engine import Simulator
 from repro.sim.errors import Interrupt
@@ -263,11 +262,10 @@ class ResilientExecution:
         sim.run()
         stats = engine.stats
 
-    With ``record_timeline=True`` the engine additionally collects
-    ``(start, end, activity)`` spans consumable by
-    :func:`repro.core.timeline.render_timeline` (a
-    :class:`repro.obs.sinks.TimelineSink` attached to the simulator's
-    bus; ``engine.timeline`` aliases its span list).
+    Observers attach to the simulator's bus, never to the engine: a
+    :class:`repro.obs.sinks.TimelineSink` there collects the ``(start,
+    end, activity)`` spans :func:`repro.core.timeline.render_timeline`
+    draws.  No observer changes the path the engine takes.
     """
 
     #: Float slop when mapping positions to boundary indices.
@@ -287,7 +285,6 @@ class ResilientExecution:
         self,
         sim: Simulator,
         plan: ExecutionPlan,
-        record_timeline: bool = False,
         resources: Optional[Dict[str, "SlotPool"]] = None,
         failure_horizon: Optional[Callable[[], Optional[float]]] = None,
         until: Optional[float] = None,
@@ -306,7 +303,6 @@ class ResilientExecution:
         #: jumps past it, so capped runs stop with exactly the stepped
         #: path's partial stats.
         self._until = until
-        self._record_timeline = record_timeline
         #: Greedy mode (datacenter): jump all the way to the next
         #: checkpoint-boundary structure change or completion without
         #: consulting the failure horizon, relying entirely on
@@ -361,9 +357,9 @@ class ResilientExecution:
         self.fast_iterations_skipped = 0
         #: The simulator's shared bus (external sinks subscribe here).
         self._bus = sim.bus
-        #: Engine-local bus: this execution's own stats and timeline
-        #: subscribe here, so two engines that happen to share an
-        #: ``app_id`` on one simulator never cross-feed each other.
+        #: Engine-local bus: this execution's own stats subscribe here,
+        #: so two engines that happen to share an ``app_id`` on one
+        #: simulator never cross-feed each other.
         self._local_bus = EventBus()
         self._app_id = plan.app.app_id
         self._technique = plan.technique
@@ -378,16 +374,10 @@ class ResilientExecution:
         #: In-flight semi-blocking checkpoint: (level_index, work
         #: position, commit time); committed lazily once due.
         self._pending_commit: Optional[tuple] = None
-        #: Optional (start, end, activity) spans for visualization.
-        self.timeline: list = []
-        if record_timeline:
-            sink = TimelineSink(app_id=self._app_id)
-            sink.attach(self._local_bus)
-            self.timeline = sink.spans
 
     def _publish(self, event) -> None:
-        """Publish *event* on the engine-local bus (stats, timeline)
-        and mirror it on the simulator's shared bus (external sinks)."""
+        """Publish *event* on the engine-local bus (stats) and mirror it
+        on the simulator's shared bus (external sinks)."""
         self._local_bus.publish(event)
         self._bus.publish(event)
 
@@ -500,25 +490,16 @@ class ResilientExecution:
         The fast path skips the per-boundary kernel events, so it is
         only taken when nothing can tell the difference: shared-pool
         contention without a gate makes slot waits possible inside the
-        stretch, and kernel taps and the timeline recorder expect every
-        per-boundary kernel event.  Domain-event subscribers on the
-        shared bus do not force the stepped path: jumps buffer the
+        stretch.  Observers never decide it: jumps buffer the domain
         events they fold and publish them once realized
-        (:meth:`_fast_forward`).  Greedy (datacenter) engines still
-        step while the shared bus has subscribers, because their
-        folded jumps would reorder events of different jobs there.
-        The horizon-bounded mode additionally needs a horizon
-        provider; greedy mode needs none (interrupts abort the jump
-        wherever they land).
+        (:meth:`_fast_forward`), so each job publishes the stepped
+        path's event sequence, and
+        :func:`repro.core.datacenter.run_datacenter` puts the events of
+        different jobs in one order.  The horizon-bounded mode
+        additionally needs a horizon provider; greedy mode needs none
+        (interrupts abort the jump wherever they land).
         """
-        bus = self._bus
-        if (
-            not FAST_PATH_ENABLED
-            or self._contended
-            or self._record_timeline
-            or bus.kernel_taps
-            or (self._greedy and bus.has_subscribers)
-        ):
+        if not FAST_PATH_ENABLED or self._contended:
             return False
         return self._greedy or self._failure_horizon is not None
 
@@ -556,9 +537,9 @@ class ResilientExecution:
         buffers the events the stepped path publishes for what it
         applies, and the buffer reaches the shared bus only once the
         jump is realized: whole when the timeout completes, or rebuilt
-        by the re-fold up to an interrupt.  A jump never publishes an
-        event that did not happen.  The engine-local bus gets none of
-        them, since the fold already updated the stats.
+        by the re-fold up to an interrupt or an abort.  A jump never
+        publishes an event that did not happen.  The engine-local bus
+        gets none of them, since the fold already updated the stats.
         """
         start = self._sim.now
         limit = None
@@ -602,13 +583,7 @@ class ResilientExecution:
                 return True
             # A failure at a wake instant preempts the wake, so an
             # operation ending exactly at the interrupt is cut short.
-            events = None if events is None else []
-            straddler = self._fold(
-                start, total, base, cut=self._sim.now, events=events
-            )[3]
-            for event in events or ():
-                self._bus.publish(event)
-            self._cut_short(straddler)
+            self._cut_short(self._refold(start, total, base, self._sim.now))
             yield from self._on_failure(interrupt.cause)
             return True
         if uses_pool:
@@ -616,6 +591,16 @@ class ResilientExecution:
         for event in events or ():
             self._bus.publish(event)
         return True
+
+    def _refold(self, start: float, total: float, base: float, cut: float) -> tuple:
+        """Re-fold the restored pre-jump state (taken at *start*) up to
+        *cut*, publish the events of what it applied, and return the
+        straddler (see :meth:`_fold`)."""
+        events = [] if self._bus.has_subscribers else None
+        straddler = self._fold(start, total, base, cut=cut, events=events)[3]
+        for event in events or ():
+            self._bus.publish(event)
+        return straddler
 
     def _fold(
         self,
@@ -910,8 +895,9 @@ class ResilientExecution:
         failures during any of it take exactly the stepped path's
         interrupt branches.
         """
-        cut = math.nextafter(self._sim.now, math.inf)
-        straddler = self._fold(start, total, base, cut=cut)[3]
+        straddler = self._refold(
+            start, total, base, math.nextafter(self._sim.now, math.inf)
+        )
         activity, started, end, duration, speed, boundary = straddler
         level = self.plan.boundary_level(boundary)
         ticket = None

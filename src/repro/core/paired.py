@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence
 
-from repro.core.execution import ExecutionStats, ResilientExecution
-from repro.core.single_app import SingleAppConfig
+from repro.core.execution import ExecutionStats
+from repro.core.single_app import SingleAppConfig, simulate_plan
 from repro.experiments.stats import SummaryStats, paired_summary
 from repro.failures.trace import FailureTrace, record_trace
-from repro.obs import live
 from repro.obs.sinks import Sink
 from repro.platform.system import HPCSystem
 from repro.resilience.base import ResilienceTechnique
@@ -53,31 +52,26 @@ def simulate_with_trace(
 ) -> ExecutionStats:
     """One execution of *app* under *technique* against *trace*.
 
-    *sinks*, and the thread's activated live sinks, are attached to the
-    simulation's bus as in
-    :func:`~repro.core.single_app.simulate_application`."""
+    Wired, counted and bracketed with trial markers (trial 0) like
+    every other single-app trial (:func:`~repro.core.single_app
+    .simulate_plan`); *sinks* and the thread's activated live sinks
+    attach to the simulation's bus."""
     config = config or SingleAppConfig()
     plan = technique.plan(
         app, system, config.node_mtbf_s, severity=config.severity_model()
-    )
-    sim = Simulator()
-    for sink in sinks or ():
-        sink.attach(sim.bus)
-    live.attach_current(sim.bus)
-    engine = ResilientExecution(sim, plan)
-    proc = sim.process(engine.run(), name=f"app-{app.app_id}")
-    sim.process(
-        trace_replay_driver(sim, proc, trace, plan.nodes_required),
-        name="trace-replay",
     )
     cap = min(
         config.max_time_factor * plan.effective_work_s,
         trace.scaled_horizon(plan.nodes_required),
     )
-    sim.run(until=cap)
-    if not engine.stats.completed:
-        engine.stats.end_time = cap
-    return engine.stats
+
+    def replay(sim, proc, _engine):
+        sim.process(
+            trace_replay_driver(sim, proc, trace, plan.nodes_required),
+            name="trace-replay",
+        )
+
+    return simulate_plan(plan, technique.name, cap, replay, sinks=sinks)
 
 
 @dataclass(frozen=True)

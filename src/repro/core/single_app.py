@@ -10,7 +10,7 @@ the workhorse behind Figs. 1-3: each bar is the mean efficiency over
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Optional, Sequence
 
 import numpy as np
 
@@ -194,50 +194,78 @@ def simulate_application(
         streams = StreamFactory(config.seed).for_trial(config.stream_key, trial)
     failure_rng = streams.stream("failures")
 
+    def drive_failures(sim, proc, engine):
+        generator = AppFailureGenerator(
+            failure_rng,
+            nodes=plan.nodes_required,
+            node_mtbf_s=config.node_mtbf_s,
+            severity=config.severity_model(),
+            burst=config.burst,
+            interarrival=config.interarrival,
+        )
+        driver = FailureDriver(sim, proc, generator)
+        engine.set_failure_horizon(driver.next_fire_time)
+
+    cap = config.max_time_factor * plan.effective_work_s
+    return simulate_plan(
+        plan, technique.name, cap, drive_failures, trial=trial, sinks=sinks
+    )
+
+
+def simulate_plan(
+    plan: ExecutionPlan,
+    technique_name: str,
+    cap: float,
+    drive_failures: Callable[[Simulator, Process, ResilientExecution], None],
+    trial: int = 0,
+    sinks: Optional[Sequence[Sink]] = None,
+) -> ExecutionStats:
+    """Run *plan* alone until it completes or the walltime *cap*: the
+    trial wiring every single-application entry point shares.
+
+    Attaches *sinks* and the thread's activated live sinks to the
+    simulation's bus, counts the trial in :mod:`repro.obs.counters`,
+    and brackets its event stream with :class:`TrialStarted` and
+    :class:`TrialFinished` (scope ``single_app``).  *drive_failures*
+    receives ``(sim, process, engine)`` once the engine's process
+    exists and starts the failure source that interrupts it.
+    """
+    app = plan.app
     sim = Simulator()
-    if sinks:
-        for sink in sinks:
-            sink.attach(sim.bus)
+    for sink in sinks or ():
+        sink.attach(sim.bus)
     # Thread-locally activated live sinks (the telemetry feed of a
     # watched service job); a no-op when nothing is activated.
     live.attach_current(sim.bus)
-    started = TrialStarted(
-        time=0.0,
-        scope="single_app",
-        app_id=app.app_id,
-        technique=technique.name,
-        trial=trial,
-    )
     increment("single_app.simulations")
-    sim.bus.publish(started)
-    cap = config.max_time_factor * plan.effective_work_s
+    sim.bus.publish(
+        TrialStarted(
+            time=0.0,
+            scope="single_app",
+            app_id=app.app_id,
+            technique=technique_name,
+            trial=trial,
+        )
+    )
     engine = ResilientExecution(sim, plan, until=cap)
     proc = sim.process(engine.run(), name=f"app-{app.app_id}")
-    generator = AppFailureGenerator(
-        failure_rng,
-        nodes=plan.nodes_required,
-        node_mtbf_s=config.node_mtbf_s,
-        severity=config.severity_model(),
-        burst=config.burst,
-        interarrival=config.interarrival,
-    )
-    driver = FailureDriver(sim, proc, generator)
-    engine.set_failure_horizon(driver.next_fire_time)
-
+    drive_failures(sim, proc, engine)
     sim.run(until=cap)
-    if not engine.stats.completed:
-        engine.stats.end_time = cap
-    finished = TrialFinished(
-        time=sim.now,
-        scope="single_app",
-        app_id=app.app_id,
-        technique=technique.name,
-        trial=trial,
-        completed=engine.stats.completed,
+    stats = engine.stats
+    if not stats.completed:
+        stats.end_time = cap
+    sim.bus.publish(
+        TrialFinished(
+            time=sim.now,
+            scope="single_app",
+            app_id=app.app_id,
+            technique=technique_name,
+            trial=trial,
+            completed=stats.completed,
+        )
     )
-    sim.bus.publish(finished)
     increment("single_app.completed")
-    return engine.stats
+    return stats
 
 
 @dataclass

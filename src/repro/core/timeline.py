@@ -1,9 +1,9 @@
 """ASCII execution timelines.
 
-Renders the ``(start, end, activity)`` spans collected by
-:class:`repro.core.execution.ResilientExecution` (with
-``record_timeline=True``) as a labelled text gantt — handy for
-debugging resilience behaviour and for documentation.
+Renders the ``(start, end, activity)`` spans a
+:class:`repro.obs.sinks.TimelineSink` collects from a simulation's bus
+as a labelled text gantt — handy for debugging resilience behaviour
+and for documentation.
 
 ::
 

@@ -26,7 +26,7 @@ from repro.failures.severity import SeverityModel
 from repro.platform.system import HPCSystem
 from repro.rng.distributions import exponential
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventKind, FAILURE_PRIORITY
+from repro.sim.events import Event, FAILURE_PRIORITY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.failures.burst import BurstModel
@@ -109,10 +109,7 @@ class FailureInjector:
             return  # fully idle machine: failures suspended
         delay = exponential(self._rng, rate)
         self._pending = self._sim.schedule(
-            delay,
-            self._fire,
-            kind=EventKind.FAILURE,
-            priority=FAILURE_PRIORITY,
+            delay, self._fire, priority=FAILURE_PRIORITY
         )
 
     def _fire(self, event: Event) -> None:

@@ -2,11 +2,12 @@
 metric/trace/export sinks.
 
 Every layer of the simulator publishes typed, frozen dataclass events
-through one :class:`EventBus` — the kernel forwards executed events to
-kernel taps, the resilient-execution engine emits its lifecycle
-(failures, checkpoints, restarts, activity spans), and the datacenter
-mapping loop emits job decisions.  Sinks subscribe at a single point
-instead of each feature growing its own ad-hoc counters.
+through one :class:`EventBus` — the resilient-execution engine emits
+its lifecycle (failures, checkpoints, restarts, activity spans), the
+datacenter mapping loop emits job decisions, and the trial entry
+points bracket each simulation with trial markers.  Sinks subscribe at
+a single point instead of each feature growing its own ad-hoc
+counters.
 
 See ``docs/OBSERVABILITY.md`` for the event taxonomy, the sink API,
 and how to write a custom sink.
@@ -40,7 +41,6 @@ from repro.obs.sinks import (
     RecordingSink,
     Sink,
     TimelineSink,
-    TraceSink,
     event_record,
     event_to_jsonl,
 )
@@ -68,7 +68,6 @@ __all__ = [
     "RestartStarted",
     "Sink",
     "TimelineSink",
-    "TraceSink",
     "TrialFinished",
     "TrialStarted",
     "counter_value",

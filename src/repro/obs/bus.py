@@ -1,42 +1,32 @@
 """The instrumentation bus: typed pub/sub for domain events.
 
-One :class:`EventBus` carries two channels:
-
-- **Domain events** — frozen dataclasses from :mod:`repro.obs.events`,
-  published by the execution engine, the failure-delivery points, and
-  the datacenter mapping loop.  Handlers subscribe by event type
-  (optionally filtered to one ``app_id``) or to every event.
-- **Kernel taps** — the raw ``(time, kind, payload)`` stream of every
-  event the simulation kernel executes.  This is the hot path: taps
-  are a plain list the kernel checks inline, so an empty bus costs one
-  attribute access and a truthiness test per executed event.
+An :class:`EventBus` carries the frozen dataclasses of
+:mod:`repro.obs.events`, published by the execution engine, the
+failure-delivery points, the datacenter mapping loop and the trial
+entry points.  Handlers subscribe by event type (optionally filtered to
+one ``app_id``) or to every event.  A bus with no handlers returns from
+:meth:`EventBus.publish` after one flag test.
 
 Publishing is strictly one-way: handlers observe, they never mutate
 simulation state, so any sink configuration produces bit-identical
-simulation results.
+simulation results and the same execution path (see "Event order" in
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, List, Tuple
 
-from repro.sim.events import EventKind
-
 #: Domain-event handler.
 Handler = Callable[[Any], None]
-#: Kernel tap: ``(time, kind, payload)`` of one executed kernel event.
-KernelTap = Callable[[float, EventKind, Any], None]
 
 
 class EventBus:
     """Lightweight synchronous pub/sub for simulation instrumentation."""
 
-    __slots__ = ("kernel_taps", "_all", "_by_type", "_keyed", "_active")
+    __slots__ = ("_all", "_by_type", "_keyed", "_active")
 
     def __init__(self) -> None:
-        #: Kernel-event taps, exposed as a plain attribute so the
-        #: kernel hot loop can check emptiness without a method call.
-        self.kernel_taps: List[KernelTap] = []
         self._all: List[Handler] = []
         self._by_type: Dict[type, List[Handler]] = {}
         self._keyed: Dict[Tuple[type, Hashable], List[Handler]] = {}
@@ -62,24 +52,10 @@ class EventBus:
         self._all.append(handler)
         self._active = True
 
-    def add_kernel_tap(self, tap: KernelTap) -> None:
-        """Receive every executed kernel event as ``(time, kind,
-        payload)`` — the :class:`repro.obs.sinks.TraceSink` channel."""
-        self.kernel_taps.append(tap)
-
     @property
     def has_subscribers(self) -> bool:
         """True when any domain-event handler is registered."""
         return self._active
-
-    @property
-    def observed(self) -> bool:
-        """True when anything at all watches this bus — domain-event
-        handlers or kernel taps.  (The execution engine's fast path
-        steps for kernel taps, and for domain-event handlers only on a
-        shared datacenter bus; see ``ResilientExecution
-        ._fast_path_usable``.)"""
-        return self._active or bool(self.kernel_taps)
 
     def subscriber_count(self) -> int:
         """Number of registered domain-event handlers (all channels)."""

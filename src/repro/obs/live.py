@@ -2,21 +2,24 @@
 
 The telemetry subsystem (:mod:`repro.telemetry`) needs the domain
 events of a *running* job — failure injections, checkpoints, restarts
-— while the simulation is still in flight.  Those events exist only on
-each simulation's own :class:`repro.obs.bus.EventBus`, and a handler
-on a bus makes every domain event of that simulation pay for its
-serialisation; a datacenter simulation also steps instead of taking
-greedy fast-path jumps (byte-identical, just slower).  Blanket
-instrumentation would therefore tax every simulation in the process.
+— while the job is still in flight.  Those events exist only on each
+simulation's own :class:`repro.obs.bus.EventBus`, and a handler on a
+bus makes every domain event of that simulation pay for its
+serialisation (a datacenter trial also buffers its events to publish
+them in one order at the trial's end).  Blanket instrumentation would
+therefore tax every simulation in the process.  It never changes the
+execution path: watched and unwatched trials take the same fast path.
 
 This module threads the needle: a worker activates live sinks *for the
 current thread only* around one job's execution, and the simulation
-entry points (:func:`repro.core.single_app.simulate_application`,
+entry points (:func:`repro.core.single_app.simulate_plan`,
 :func:`repro.core.datacenter.run_datacenter`) attach whatever
-:func:`current_sinks` returns to each new simulation bus.  When
-nothing is activated — the overwhelmingly common case — the lookup is
-one thread-local attribute read and the bus stays unobserved, so
-unwatched trials keep the fast path.
+:func:`current_sinks` returns to each new trial's bus.  When nothing
+is activated — the overwhelmingly common case — the lookup is one
+thread-local attribute read and the bus stays without subscribers, so
+unwatched trials build no events at all.  A single-app trial streams
+its events as they happen; a datacenter trial streams them when it
+ends.
 
 Activation is thread-local by design: the service's executor threads
 run one job each, so activating around :meth:`repro.service.jobs
@@ -57,7 +60,7 @@ def attach_current(bus) -> None:
 
     Called by the simulation entry points on each fresh bus; a no-op
     (one thread-local read) when nothing is activated, so unwatched
-    simulations keep a bus with no subscribers.
+    trials keep a bus with no subscribers.
     """
     sinks = current_sinks()
     if sinks:

@@ -4,13 +4,15 @@ A sink is anything with an ``attach(bus)`` method that registers its
 handlers on an :class:`repro.obs.bus.EventBus`.  Sinks are passive:
 they observe the event stream and never feed back into the simulation,
 so attaching any combination of them (including none) produces
-bit-identical simulation results.
+bit-identical simulation results and leaves the engine on the same
+execution path.  A sink attached through a trial entry point
+(:func:`repro.core.single_app.simulate_application`,
+:func:`repro.core.datacenter.run_datacenter`) receives the same stream
+on the fast and the stepped path.
 
 Shipped sinks:
 
-- :class:`TraceSink` — the :class:`repro.sim.tracing.TraceRecorder`
-  rebased on the bus: records every executed kernel event, with the
-  same filtering/capacity/query API.
+- :class:`RecordingSink` — keeps every event in order (testing aid).
 - :class:`MetricsSink` — event counters plus time-in-activity totals
   per technique and per application.
 - :class:`TimelineSink` — collects ``(start, end, activity)`` spans
@@ -37,8 +39,6 @@ from typing import Any, Dict, Hashable, List, Optional, TextIO, Tuple
 
 from repro.obs.bus import EventBus
 from repro.obs.events import ActivitySpan, DomainEvent
-from repro.sim.events import EventKind
-from repro.sim.tracing import TraceRecorder
 
 
 class Sink:
@@ -62,23 +62,6 @@ class RecordingSink(Sink):
     def of_type(self, *event_types: type) -> List[DomainEvent]:
         """The recorded events that are instances of *event_types*."""
         return [e for e in self.events if isinstance(e, event_types)]
-
-
-class TraceSink(TraceRecorder, Sink):
-    """The classic event trace, fed by the bus's kernel-tap channel.
-
-    API-compatible with :class:`repro.sim.tracing.TraceRecorder`
-    (``filter``/``counts``/``dump``/indexing/…); construct with the
-    same ``kinds``/``capacity`` arguments and attach to a simulator::
-
-        sink = TraceSink(capacity=10_000)
-        sim = Simulator()
-        sink.attach(sim.bus)
-    """
-
-    def attach(self, bus: EventBus) -> None:
-        """Register as a kernel tap: one entry per executed sim event."""
-        bus.add_kernel_tap(self.record)
 
 
 class TimelineSink(Sink):
@@ -187,18 +170,10 @@ class MetricsSink(Sink):
                 merge_counts(mine.setdefault(key, {}), inner)
 
 
-def _json_default(value: Any) -> Any:
-    """Serialise the few non-JSON types events carry."""
-    if isinstance(value, EventKind):
-        return value.value
-    return str(value)
-
-
 #: The one encoder behind every exported line (``json.dumps`` with
-#: these arguments would build a new encoder per event).
-_ENCODER = json.JSONEncoder(
-    sort_keys=True, default=_json_default, separators=(",", ":")
-)
+#: these arguments would build a new encoder per event).  ``str`` covers
+#: the few non-JSON types events carry.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str, separators=(",", ":"))
 
 
 def event_to_jsonl(event: DomainEvent) -> str:
@@ -216,7 +191,7 @@ def event_record(event: DomainEvent) -> Dict[str, Any]:
         key: (
             value
             if value is None or isinstance(value, (bool, int, float, str))
-            else _json_default(value)
+            else str(value)
         )
         for key, value in record.items()
     }

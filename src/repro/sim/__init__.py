@@ -9,15 +9,13 @@ Public surface::
 
 from repro.sim.engine import Simulator
 from repro.sim.errors import Interrupt, ProcessError, SchedulingError, SimulationError
-from repro.sim.events import Event, EventKind, FAILURE_PRIORITY
+from repro.sim.events import Event, FAILURE_PRIORITY
 from repro.sim.process import Process, ProcessState, Timeout
 from repro.sim.queue import EventQueue
 from repro.sim.resources import Signal, SlotPool, SlotTicket
-from repro.sim.tracing import TraceEntry, TraceRecorder
 
 __all__ = [
     "Event",
-    "EventKind",
     "EventQueue",
     "FAILURE_PRIORITY",
     "Interrupt",
@@ -31,6 +29,4 @@ __all__ = [
     "SlotTicket",
     "Simulator",
     "Timeout",
-    "TraceEntry",
-    "TraceRecorder",
 ]

@@ -14,7 +14,7 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.obs.bus import EventBus
 from repro.sim.errors import SchedulingError
-from repro.sim.events import DEFAULT_PRIORITY, Event, EventKind
+from repro.sim.events import DEFAULT_PRIORITY, Event
 from repro.sim.process import Process, Timeout
 from repro.sim.queue import EventQueue
 
@@ -26,11 +26,9 @@ class Simulator:
     ----------
     bus:
         Optional :class:`repro.obs.bus.EventBus`; one is created when
-        not given.  Every executed kernel event is forwarded to the
-        bus's kernel taps (attach a :class:`repro.obs.sinks.TraceSink`
-        to record them), and higher layers publish their typed domain
-        events through the same bus.  An empty bus costs one attribute
-        access per executed event.
+        not given.  The kernel itself publishes nothing: higher layers
+        publish their typed domain events through this bus, and sinks
+        subscribe to it.
     """
 
     def __init__(self, bus: Optional[EventBus] = None) -> None:
@@ -65,22 +63,16 @@ class Simulator:
         delay: float,
         callback: Callable[[Event], None],
         *,
-        kind: EventKind = EventKind.INTERNAL,
-        payload: Any = None,
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
         """Schedule *callback* to run ``delay`` seconds from now."""
-        return self.schedule_at(
-            self._now + delay, callback, kind=kind, payload=payload, priority=priority
-        )
+        return self.schedule_at(self._now + delay, callback, priority=priority)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[[Event], None],
         *,
-        kind: EventKind = EventKind.INTERNAL,
-        payload: Any = None,
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
         """Schedule *callback* at absolute simulated time *time*."""
@@ -91,9 +83,7 @@ class Simulator:
                 f"cannot schedule event at t={time} before now={self._now}"
             )
         self._seq += 1
-        event = Event(
-            time, callback, priority=priority, seq=self._seq, kind=kind, payload=payload
-        )
+        event = Event(time, callback, priority=priority, seq=self._seq)
         self._queue.push(event)
         return event
 
@@ -143,10 +133,6 @@ class Simulator:
             return False
         self._now = event.time
         self._event_count += 1
-        taps = self.bus.kernel_taps
-        if taps:
-            for tap in taps:
-                tap(event.time, event.kind, event.payload)
         event.callback(event)
         return True
 
@@ -179,10 +165,6 @@ class Simulator:
                     break
                 self._now = event.time
                 self._event_count += 1
-                taps = self.bus.kernel_taps
-                if taps:
-                    for tap in taps:
-                        tap(event.time, event.kind, event.payload)
                 event.callback(event)
                 executed += 1
         finally:

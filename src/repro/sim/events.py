@@ -1,32 +1,15 @@
 """Event objects for the simulation kernel.
 
-An :class:`Event` is a callback scheduled at a simulated time.  Events
-carry a :class:`EventKind` tag so traces can be filtered by the event
-taxonomy of Sec. III-A of the paper (arrival, mapping, computation,
-failure, checkpoint, restart, recovery).
+An :class:`Event` is a callback scheduled at a simulated time.  Kernel
+events carry no domain meaning: the paper's Sec. III-A event taxonomy
+(arrival, mapping, computation, failure, checkpoint, restart, recovery)
+is published by the higher layers as typed domain events
+(:mod:`repro.obs.events`).
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Any, Callable, Optional
-
-
-class EventKind(enum.Enum):
-    """Taxonomy of simulation events (Sec. III-A of the paper)."""
-
-    ARRIVAL = "arrival"
-    MAPPING = "mapping"
-    COMPUTATION = "computation"
-    FAILURE = "failure"
-    CHECKPOINT = "checkpoint"
-    RESTART = "restart"
-    RECOVERY = "recovery"
-    #: Kernel-internal events (process wakeups etc.).
-    INTERNAL = "internal"
-
-    def __str__(self) -> str:
-        return self.value
+from typing import Callable, Optional
 
 
 class Event:
@@ -42,8 +25,6 @@ class Event:
         "priority",
         "seq",
         "callback",
-        "payload",
-        "kind",
         "cancelled",
         "in_queue",
     )
@@ -55,15 +36,11 @@ class Event:
         *,
         priority: int = 0,
         seq: int = 0,
-        kind: EventKind = EventKind.INTERNAL,
-        payload: Any = None,
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.callback = callback
-        self.payload = payload
-        self.kind = kind
         self.cancelled = False
         #: Maintained by :class:`repro.sim.queue.EventQueue`: True while
         #: the event sits in the pending heap.  Lets the kernel tell a
@@ -85,7 +62,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"<Event {self.kind} t={self.time:.6g} prio={self.priority}{state}>"
+        return f"<Event t={self.time:.6g} prio={self.priority}{state}>"
 
 
 #: Priority assigned to failure events so that a failure scheduled at the

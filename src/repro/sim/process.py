@@ -21,7 +21,7 @@ import enum
 from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
 from repro.sim.errors import Interrupt, ProcessError
-from repro.sim.events import Event, EventKind
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -98,9 +98,7 @@ class Process:
         self._waiting_signal = None  # Optional[Signal]
         self._watchers: List["Process"] = []
         # Kick off the first step "immediately" (same simulated time).
-        self._pending_event = sim.schedule(
-            0.0, self._on_wake, kind=EventKind.INTERNAL, payload=self
-        )
+        self._pending_event = sim.schedule(0.0, self._on_wake)
 
     # -- public API ---------------------------------------------------------
 
@@ -126,8 +124,6 @@ class Process:
         self._pending_event = self._sim.schedule(
             0.0,
             lambda _ev, c=cause: self._step(throw=Interrupt(c)),
-            kind=EventKind.INTERNAL,
-            payload=self,
             priority=-1,
         )
 
@@ -193,9 +189,7 @@ class Process:
                 # Already fired: resume immediately with its value.
                 value = yielded.value
                 self._pending_event = self._sim.schedule(
-                    0.0,
-                    lambda _ev, v=value: self._step(send=v),
-                    payload=self,
+                    0.0, lambda _ev, v=value: self._step(send=v)
                 )
         elif isinstance(yielded, Timeout):
             self._suspend_on_timeout(yielded)
@@ -224,10 +218,7 @@ class Process:
                 # Already finished: resume immediately with its value.
                 value = yielded.value
                 self._pending_event = self._sim.schedule(
-                    0.0,
-                    lambda _ev, v=value: self._step(send=v),
-                    kind=EventKind.INTERNAL,
-                    payload=self,
+                    0.0, lambda _ev, v=value: self._step(send=v)
                 )
         else:
             bad = type(yielded).__name__
@@ -242,14 +233,10 @@ class Process:
         self._pending_timeout = timeout
         if timeout.at is not None:
             timeout.wake_at = timeout.at
-            self._pending_event = sim.schedule_at(
-                timeout.at, self._on_wake, kind=EventKind.INTERNAL, payload=self
-            )
+            self._pending_event = sim.schedule_at(timeout.at, self._on_wake)
         else:
             timeout.wake_at = sim.now + timeout.delay
-            self._pending_event = sim.schedule(
-                timeout.delay, self._on_wake, kind=EventKind.INTERNAL, payload=self
-            )
+            self._pending_event = sim.schedule(timeout.delay, self._on_wake)
 
     def _finish(self, value: Any) -> None:
         self.state = ProcessState.FINISHED
@@ -263,10 +250,7 @@ class Process:
             if self.state is ProcessState.FINISHED:
                 value = self.value
                 watcher._pending_event = self._sim.schedule(
-                    0.0,
-                    lambda _ev, w=watcher, v=value: w._step(send=v),
-                    kind=EventKind.INTERNAL,
-                    payload=watcher,
+                    0.0, lambda _ev, w=watcher, v=value: w._step(send=v)
                 )
             else:
                 error = self.error
@@ -275,6 +259,4 @@ class Process:
                     lambda _ev, w=watcher, e=error: w._step(
                         throw=ProcessError(f"joined process failed: {e!r}")
                     ),
-                    kind=EventKind.INTERNAL,
-                    payload=watcher,
                 )

@@ -60,9 +60,7 @@ class Signal:
             # between fire and delivery cancels it (no double resume).
             waiter._waiting_signal = None
             waiter._pending_event = self._sim.schedule(
-                0.0,
-                lambda _ev, w=waiter: w._step(send=self.value),
-                payload=waiter,
+                0.0, lambda _ev, w=waiter: w._step(send=self.value)
             )
 
     # -- kernel side (called by Process) ---------------------------------

@@ -20,9 +20,9 @@ literature):
 
 Streaming never perturbs results: live simulation-event sinks attach
 only to *watched* jobs' trials (via :mod:`repro.obs.live`), so every
-other simulation serialises no events (and its datacenter trials keep
-their greedy fast path), and sinks are passive observers, so watched
-runs stay byte-identical too.
+other simulation serialises no events, and sinks are passive observers
+that never change the execution path, so watched runs stay
+byte-identical too.
 See ``docs/OBSERVABILITY.md`` (streaming section) and
 ``docs/SERVICE.md`` (API table).
 """

@@ -11,8 +11,7 @@ through on its way to SSE consumers:
   (:meth:`ingest`), tagged with the originating site;
 - the in-process worker pool asks :meth:`job_sink` for a live
   simulation-event sink around each job it runs — non-None only for
-  *watched* jobs, so unwatched trials serialise no events (and their
-  datacenter trials keep the greedy fast path);
+  *watched* jobs, so unwatched trials serialise no events;
 - the adaptive campaign controller reports progress through
   :meth:`campaign_notify`.
 
@@ -136,9 +135,9 @@ class TelemetryHub:
 
     def job_sink(self, job_id: str) -> Optional[LiveEventSink]:
         """A live simulation-event sink for *job_id*, or None when the
-        job is unwatched (so its trials keep the unobserved fast
-        path).  The in-process pool activates the sink thread-locally
-        around :meth:`repro.service.jobs.JobSpec.execute`."""
+        job is unwatched (so its trials build no events).  The
+        in-process pool activates the sink thread-locally around
+        :meth:`repro.service.jobs.JobSpec.execute`."""
         if not self.is_watched(job_id):
             return None
 

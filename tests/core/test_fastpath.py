@@ -2,9 +2,9 @@
 
 The fast path (closed-form event skipping between failures) must be
 invisible: every statistic and every published domain event identical
-to the stepped event-by-event path, stepping only where a kernel tap
-or timeline recorder needs the per-boundary kernel events.  See
-docs/PERFORMANCE.md for the exactness argument these tests enforce.
+to the stepped event-by-event path, whatever sinks observe the run.
+See docs/PERFORMANCE.md for the exactness argument these tests
+enforce.
 """
 
 import math
@@ -21,7 +21,7 @@ from repro.core.single_app import (
     simulate_application,
 )
 from repro.failures.generator import AppFailureGenerator, Failure
-from repro.obs.sinks import RecordingSink, TraceSink
+from repro.obs.sinks import RecordingSink, TimelineSink
 from repro.platform.presets import exascale_system
 from repro.resilience import get_technique, scaling_study_techniques
 from repro.resilience.base import CheckpointLevel, ExecutionPlan
@@ -79,7 +79,6 @@ def _wired_run(
     trial=0,
     seed=99,
     sinks=None,
-    record_timeline=False,
     resources=None,
     horizon=True,
 ):
@@ -96,13 +95,7 @@ def _wired_run(
         for sink in sinks:
             sink.attach(sim.bus)
     cap = cfg.max_time_factor * plan.effective_work_s
-    engine = ResilientExecution(
-        sim,
-        plan,
-        until=cap,
-        record_timeline=record_timeline,
-        resources=resources,
-    )
+    engine = ResilientExecution(sim, plan, until=cap, resources=resources)
     proc = sim.process(engine.run(), name="app")
     generator = AppFailureGenerator(
         StreamFactory(cfg.seed).spawn_indexed(trial).stream("failures"),
@@ -288,10 +281,12 @@ def _stepped_spans(plan):
     """``(start, end, activity)`` spans of a failure-free stepped run;
     every span end is a kernel wake instant a failure can tie with."""
     sim = Simulator()
-    engine = ResilientExecution(sim, plan, record_timeline=True, until=1e9)
+    timeline = TimelineSink()
+    timeline.attach(sim.bus)
+    engine = ResilientExecution(sim, plan, until=1e9)
     sim.process(engine.run(), name="app")
     sim.run(until=1e9)
-    return engine.timeline
+    return timeline.spans
 
 
 class TestReplayOnInterrupt:
@@ -443,22 +438,17 @@ class TestFallbacks:
         _, plain = _wired_run(technique, True, monkeypatch)
         _assert_same_stats(engine.stats, plain.stats)
 
-    def test_kernel_tap_forces_stepped(self, monkeypatch):
+    def test_timeline_keeps_fast_path(self, monkeypatch):
         technique = get_technique("multilevel")
-        _, engine = _wired_run(technique, True, monkeypatch, sinks=[TraceSink()])
-        assert engine.fast_jumps == 0
-
-    def test_record_timeline_forces_stepped(self, monkeypatch):
-        technique = get_technique("multilevel")
+        fast_timeline = TimelineSink()
         _, fast = _wired_run(
-            technique, True, monkeypatch, record_timeline=True
+            technique, True, monkeypatch, sinks=[fast_timeline]
         )
-        _, slow = _wired_run(
-            technique, False, monkeypatch, record_timeline=True
-        )
-        assert fast.fast_jumps == 0
-        assert fast.timeline == slow.timeline
-        assert fast.timeline  # non-trivial
+        slow_timeline = TimelineSink()
+        _wired_run(technique, False, monkeypatch, sinks=[slow_timeline])
+        assert fast.fast_jumps > 0
+        assert fast_timeline.spans == slow_timeline.spans
+        assert fast_timeline.spans  # non-trivial
 
     def test_contended_pool_forces_stepped(self, monkeypatch):
         # multilevel's top level checkpoints through the shared PFS;

@@ -124,6 +124,17 @@ def _assert_identical(monkeypatch, **kwargs):
     return slow
 
 
+def _observed_runs(monkeypatch, **kwargs):
+    """The cell run stepped and fast with an export and a metrics sink:
+    ``((digest, lines, metrics) stepped, (...) fast)``."""
+    runs = []
+    for fast in (False, True):
+        export, metrics = JsonlExportSink(), MetricsSink()
+        result = _run_cell(fast, monkeypatch, sinks=[export, metrics], **kwargs)
+        runs.append((_digest(result), export.lines, metrics.to_dict()))
+    return runs
+
+
 class TestGridBitIdentity:
     """All four RM policies, with and without a contended PFS."""
 
@@ -132,6 +143,20 @@ class TestGridBitIdentity:
     def test_rm_policy_identical(self, rm, pfs, monkeypatch):
         digest = _assert_identical(monkeypatch, rm=rm, pfs=pfs)
         assert digest[1] > 0  # failures actually injected
+
+    @pytest.mark.parametrize("rm", ["fcfs", "easy", "random", "slack"])
+    @pytest.mark.parametrize("pfs", [None, 2])
+    def test_rm_policy_observed_identical(
+        self, rm, pfs, counting_engine, monkeypatch
+    ):
+        # Observed engines keep the fast path, and the export and the
+        # metrics are those of the stepped run.
+        slow, fast = _observed_runs(monkeypatch, rm=rm, pfs=pfs)
+        assert counting_engine.jumps > 0
+        assert fast[0] == slow[0]
+        assert fast[1] == slow[1]
+        assert fast[2] == slow[2]
+        assert slow[0][1] > 0  # failures actually injected
 
 
 class TestSelectorsAndRegimes:
@@ -234,16 +259,17 @@ class TestEngagementAndFallback:
         _run_cell(True, monkeypatch, pfs=2, seed=13)
         assert counting_engine.aborts > 0
 
-    def test_observed_run_falls_back_and_matches(self, monkeypatch):
-        # Sinks make the bus observed, so engines step; the JSONL
-        # export must be byte-identical whether the fast path is
-        # enabled (and falling back) or globally disabled.
-        slow_export = JsonlExportSink()
-        slow = _run_cell(False, monkeypatch, sinks=[slow_export, MetricsSink()])
-        fast_export = JsonlExportSink()
-        fast = _run_cell(True, monkeypatch, sinks=[fast_export, MetricsSink()])
-        assert tuple(slow_export.lines) == tuple(fast_export.lines)
-        assert _digest(slow) == _digest(fast)
+    def test_observed_run_keeps_fast_path(self, counting_engine, monkeypatch):
+        # Sinks leave the engines on the fast path; the JSONL export
+        # and the metrics must equal the stepped run's.  Jumps in this
+        # cell are aborted after folding events, which the re-fold must
+        # publish.
+        slow, fast = _observed_runs(monkeypatch, pfs=2, seed=5, arrivals=30)
+        assert counting_engine.jumps > 0
+        assert counting_engine.aborts > 0
+        assert fast[1] == slow[1]
+        assert fast[2] == slow[2]
+        assert fast[0] == slow[0]
 
     def test_observed_vs_unobserved_digest_equal(self, monkeypatch):
         observed = _run_cell(True, monkeypatch, sinks=[MetricsSink()])

@@ -22,6 +22,7 @@ from repro.core.datacenter import DatacenterConfig, DatacenterSimulator
 from repro.core.execution import PoolContentionGate, ResilientExecution
 from repro.core.selection import FixedSelector
 from repro.failures.generator import Failure
+from repro.obs.sinks import TimelineSink
 from repro.platform.presets import exascale_system
 from repro.resilience import get_technique
 from repro.resilience.base import CheckpointLevel, ExecutionPlan
@@ -170,10 +171,12 @@ def _stepped_spans(plan):
     every span end is a kernel wake instant a failure or gate flip can
     tie with."""
     sim = Simulator()
-    engine = ResilientExecution(sim, plan, record_timeline=True, until=1e9)
+    timeline = TimelineSink()
+    timeline.attach(sim.bus)
+    engine = ResilientExecution(sim, plan, until=1e9)
     sim.process(engine.run(), name="app")
     sim.run(until=1e9)
-    return engine.timeline
+    return timeline.spans
 
 
 #: (blocking fraction, recovery speedup, level count) variants of the

@@ -5,6 +5,9 @@ import pytest
 from repro.core.paired import paired_compare, simulate_with_trace
 from repro.core.single_app import SingleAppConfig
 from repro.failures.trace import record_trace
+from repro.obs import counters
+from repro.obs.events import TrialFinished, TrialStarted
+from repro.obs.sinks import RecordingSink
 from repro.resilience.checkpoint_restart import CheckpointRestart
 from repro.resilience.multilevel import MultilevelCheckpoint
 from repro.resilience.parallel_recovery import ParallelRecovery
@@ -41,6 +44,37 @@ class TestSimulateWithTrace:
         )
         assert stats.failures > 0
         assert stats.completed
+
+    def test_replay_counted_and_bracketed_like_any_trial(self, full_system):
+        app = make_application("C32", nodes=full_system.fraction_to_nodes(0.25))
+        trace = record_trace(
+            StreamFactory(1).fresh("t"),
+            CONFIG.node_mtbf_s,
+            CONFIG.max_time_factor * app.baseline_time * 2 * app.nodes,
+        )
+        recording = RecordingSink()
+        with counters.scope() as counted:
+            stats = simulate_with_trace(
+                app, CheckpointRestart(), full_system, trace, CONFIG,
+                sinks=[recording],
+            )
+        assert counted == {
+            "single_app.simulations": 1,
+            "single_app.completed": 1,
+        }
+        first, last = recording.events[0], recording.events[-1]
+        assert first == TrialStarted(
+            time=0.0,
+            scope="single_app",
+            app_id=app.app_id,
+            technique="checkpoint_restart",
+            trial=0,
+        )
+        assert isinstance(last, TrialFinished)
+        assert (last.scope, last.trial, last.completed) == (
+            "single_app", 0, stats.completed
+        )
+        assert len(recording.of_type(TrialStarted, TrialFinished)) == 2
 
 
 class TestPairedCompare:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.execution import ResilientExecution
 from repro.core.timeline import activity_totals, render_timeline
 from repro.failures.generator import Failure
+from repro.obs.sinks import TimelineSink
 from repro.resilience.base import CheckpointLevel, ExecutionPlan
 from repro.workload.synthetic import make_application
 
@@ -17,7 +18,9 @@ def _recorded_run(sim, failures=()):
     plan = ExecutionPlan(
         app=app, technique="t", work_rate=1.0, levels=(level,), nodes_required=4
     )
-    engine = ResilientExecution(sim, plan, record_timeline=True)
+    timeline = TimelineSink()
+    timeline.attach(sim.bus)
+    engine = ResilientExecution(sim, plan)
     proc = sim.process(engine.run())
     for time in failures:
         sim.schedule_at(
@@ -27,13 +30,13 @@ def _recorded_run(sim, failures=()):
             else None,
         )
     sim.run(until=1e9)
-    return engine
+    return engine, timeline.spans
 
 
 class TestActivityTotals:
     def test_totals_match_stats(self, sim):
-        engine = _recorded_run(sim, failures=[250.0])
-        totals = activity_totals(engine.timeline)
+        engine, spans = _recorded_run(sim, failures=[250.0])
+        totals = activity_totals(spans)
         assert totals["work"] == pytest.approx(engine.stats.work_time_s)
         assert totals["recovery"] == pytest.approx(engine.stats.rework_time_s)
         assert totals["checkpoint"] == pytest.approx(engine.stats.checkpoint_time_s)
@@ -50,14 +53,14 @@ class TestActivityTotals:
 
 class TestRenderTimeline:
     def test_rows_for_all_activities(self, sim):
-        engine = _recorded_run(sim, failures=[250.0])
-        text = render_timeline(engine.timeline)
+        _, spans = _recorded_run(sim, failures=[250.0])
+        text = render_timeline(spans)
         for activity in ("work", "recovery", "checkpoint", "restart"):
             assert activity in text
 
     def test_percentages_sum_to_about_100(self, sim):
-        engine = _recorded_run(sim, failures=[250.0])
-        text = render_timeline(engine.timeline)
+        _, spans = _recorded_run(sim, failures=[250.0])
+        text = render_timeline(spans)
         shares = [
             float(line.rsplit("|", 1)[1].rstrip("%"))
             for line in text.splitlines()[1:]
@@ -68,19 +71,6 @@ class TestRenderTimeline:
         assert "empty" in render_timeline([])
 
     def test_width_validation(self, sim):
-        engine = _recorded_run(sim)
+        _, spans = _recorded_run(sim)
         with pytest.raises(ValueError):
-            render_timeline(engine.timeline, width=5)
-
-    def test_recording_off_by_default(self, sim):
-        app = make_application("A32", nodes=4, time_steps=2)
-        level = CheckpointLevel(
-            index=1, recovers_severity=3, cost_s=1.0, restart_s=1.0, period_s=100.0
-        )
-        plan = ExecutionPlan(
-            app=app, technique="t", work_rate=1.0, levels=(level,), nodes_required=4
-        )
-        engine = ResilientExecution(sim, plan)
-        sim.process(engine.run())
-        sim.run(until=1e9)
-        assert engine.timeline == []
+            render_timeline(spans, width=5)

@@ -2,7 +2,6 @@
 
 from repro.obs.bus import EventBus
 from repro.obs.events import CheckpointTaken, FailureInjected, TrialStarted
-from repro.sim.events import EventKind
 
 
 def _failure(app_id=1, time=1.0):
@@ -66,11 +65,6 @@ class TestActivation:
         assert bus.subscriber_count() == 0
         bus.publish(_failure())  # no-op, must not raise
 
-    def test_kernel_taps_do_not_activate_domain_channel(self):
-        bus = EventBus()
-        bus.add_kernel_tap(lambda t, k, p: None)
-        assert not bus.has_subscribers
-
     def test_subscriber_count_spans_channels(self):
         bus = EventBus()
         bus.subscribe_all(lambda e: None)
@@ -79,25 +73,3 @@ class TestActivation:
         assert bus.subscriber_count() == 3
         assert bus.has_subscribers
 
-
-class TestKernelTaps:
-    def test_simulator_forwards_executed_events(self):
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        taps = []
-        sim.bus.add_kernel_tap(lambda t, k, p: taps.append((t, k, p)))
-        sim.schedule(2.0, lambda _e: None, kind=EventKind.FAILURE, payload="x")
-        sim.run()
-        assert taps == [(2.0, EventKind.FAILURE, "x")]
-
-    def test_cancelled_events_not_tapped(self):
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        taps = []
-        sim.bus.add_kernel_tap(lambda t, k, p: taps.append(k))
-        ev = sim.schedule(1.0, lambda _e: None, kind=EventKind.FAILURE)
-        sim.cancel(ev)
-        sim.run()
-        assert taps == []

@@ -18,7 +18,6 @@ from repro.obs.sinks import (
     MetricsSink,
     RecordingSink,
     TimelineSink,
-    TraceSink,
 )
 from repro.resilience.registry import get_technique
 from repro.units import HOUR
@@ -84,7 +83,6 @@ class TestSingleTrialBitIdentity:
         baseline = run(None)
         assert baseline[2] > 0  # failure-heavy, or the test is vacuous
         all_sinks = (
-            TraceSink(),
             MetricsSink(),
             TimelineSink(),
             JsonlExportSink(),

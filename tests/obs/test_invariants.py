@@ -193,3 +193,34 @@ class TestDatacenterInvariants:
     def test_completion_count_matches_records(self, datacenter_run):
         result, recording = datacenter_run
         assert len(recording.of_type(JobCompleted)) == result.completed_count
+
+
+def _order_violations(events):
+    """Adjacent pairs within a trial whose ``(time, app_id)`` decreases
+    (trial markers excluded)."""
+    violations = 0
+    last = None
+    for event in events:
+        if isinstance(event, (TrialStarted, TrialFinished)):
+            last = None
+            continue
+        key = (event.time, event.app_id)
+        if last is not None and key < last:
+            violations += 1
+        last = key
+    return violations
+
+
+class TestEventOrder:
+    """Within each trial, ``(time, app_id)`` never decreases: the one
+    event order that does not depend on the execution path."""
+
+    def test_datacenter_stream_ordered(self, datacenter_run):
+        _, recording = datacenter_run
+        assert len(recording.of_type(JobMapped)) > 1  # many jobs interleave
+        assert _order_violations(recording.events) == 0
+
+    def test_single_app_stream_ordered(self, small_system):
+        _, recording, _ = _run("multilevel", small_system)
+        assert recording.events
+        assert _order_violations(recording.events) == 0

@@ -30,12 +30,9 @@ from repro.obs.sinks import (
     MetricsSink,
     RecordingSink,
     TimelineSink,
-    TraceSink,
     event_record,
     event_to_jsonl,
 )
-from repro.sim.engine import Simulator
-from repro.sim.events import EventKind
 
 
 def _span(app_id=1, technique="t", activity="work", start=0.0, end=5.0):
@@ -60,33 +57,6 @@ class TestRecordingSink:
         bus.publish(s)
         assert sink.events == [f, s]
         assert sink.of_type(ActivitySpan) == [s]
-
-
-class TestTraceSink:
-    def test_records_kernel_stream(self):
-        sim = Simulator()
-        trace = TraceSink()
-        trace.attach(sim.bus)
-        sim.schedule(1.0, lambda _e: None, kind=EventKind.FAILURE, payload="f")
-        sim.schedule(2.0, lambda _e: None, kind=EventKind.CHECKPOINT)
-        sim.run()
-        assert len(trace) == 2
-        assert trace.counts() == {EventKind.FAILURE: 1, EventKind.CHECKPOINT: 1}
-
-    def test_capacity_and_dropped_counter(self):
-        trace = TraceSink(capacity=3)
-        for i in range(10):
-            trace.record(float(i), EventKind.INTERNAL, i)
-        assert len(trace) == 3
-        assert trace.dropped == 7
-        assert [e.payload for e in trace] == [7, 8, 9]
-
-    def test_slicing_matches_list_semantics(self):
-        trace = TraceSink(capacity=4)
-        for i in range(6):
-            trace.record(float(i), EventKind.INTERNAL, i)
-        assert [e.payload for e in trace[1:3]] == [3, 4]
-        assert trace[-1].payload == 5
 
 
 class TestTimelineSink:

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.obs.sinks import TraceSink
 from repro.sim.engine import Simulator
 from repro.sim.errors import SchedulingError
-from repro.sim.events import EventKind
 
 
 class TestScheduling:
@@ -174,19 +172,6 @@ class TestTimeoutAt:
         sim.process(body())
         sim.run(until=1.0)
         assert captured["t"].wake_at == 3.0
-
-
-class TestTracing:
-    def test_trace_sink_records_kind_and_time(self):
-        trace = TraceSink()
-        sim = Simulator()
-        trace.attach(sim.bus)
-        sim.schedule(1.0, lambda _e: None, kind=EventKind.FAILURE, payload="f1")
-        sim.run()
-        assert len(trace) == 1
-        assert trace[0].kind is EventKind.FAILURE
-        assert trace[0].time == 1.0
-        assert trace[0].payload == "f1"
 
 
 class TestRunUntilEmpty:

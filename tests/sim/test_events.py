@@ -1,6 +1,6 @@
 """Unit tests for repro.sim.events."""
 
-from repro.sim.events import DEFAULT_PRIORITY, Event, EventKind, FAILURE_PRIORITY
+from repro.sim.events import DEFAULT_PRIORITY, Event, FAILURE_PRIORITY
 
 
 def _noop(_event):
@@ -43,26 +43,5 @@ class TestEventCancellation:
 
 
 class TestEventKind:
-    def test_paper_taxonomy_present(self):
-        names = {k.value for k in EventKind}
-        for expected in (
-            "arrival",
-            "mapping",
-            "computation",
-            "failure",
-            "checkpoint",
-            "restart",
-            "recovery",
-        ):
-            assert expected in names
-
-    def test_str_is_value(self):
-        assert str(EventKind.FAILURE) == "failure"
-
-    def test_payload_carried(self):
-        payload = {"x": 1}
-        e = Event(0.0, _noop, payload=payload)
-        assert e.payload is payload
-
     def test_failure_priority_beats_default(self):
         assert FAILURE_PRIORITY < DEFAULT_PRIORITY

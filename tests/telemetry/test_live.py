@@ -1,9 +1,10 @@
 """Thread-local live activation: streaming without losing the fast path.
 
 The load-bearing property of the telemetry design: only *watched*
-jobs' simulations attach a live sink (and pay the observed-bus stepped
-path); everything else keeps ``bus.observed == False`` and the
-failure-horizon fast path.  Results stay bit-identical either way.
+jobs' simulations attach a live sink (and pay for serialising their
+events); everything else keeps a bus without subscribers.  Both keep
+the failure-horizon fast path, and results stay bit-identical either
+way.
 """
 
 import threading
@@ -45,7 +46,7 @@ class TestActivation:
         assert live.current_sinks() == ()
         bus = EventBus()
         live.attach_current(bus)
-        assert not bus.observed
+        assert not bus.has_subscribers
 
     def test_activation_is_scoped_to_the_context(self):
         sink = LiveEventSink(lambda kind, record: None)
@@ -60,7 +61,7 @@ class TestActivation:
             assert live.current_sinks() == ()
             bus = EventBus()
             live.attach_current(bus)
-            assert not bus.observed
+            assert not bus.has_subscribers
 
     def test_nested_activation_stacks_and_restores(self):
         a = LiveEventSink(lambda k, r: None)
@@ -115,7 +116,7 @@ class TestSimulationIntegration:
         assert live.current_sinks() == ()
         bus = EventBus()
         live.attach_current(bus)
-        assert not bus.observed
+        assert not bus.has_subscribers
 
     def test_watched_trace_replay_streams_live_events(self):
         # A watched trace-replay job streams its replays' events like a
