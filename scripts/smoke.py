@@ -17,7 +17,9 @@ it exits 0 (graceful drain, even with SSE streams attached).
 - ``dashboard``: ``GET /`` serves the status page; a watched job's SSE
   stream delivers its lifecycle in order with live simulation events
   forwarded from the agent; a priced campaign's grid counters and the
-  agent's executor counters reach ``/v1/metrics``.
+  agent's executor counters reach ``/v1/metrics``; the stream of a
+  dependent cancelled by its blocker's cancellation ends on its own
+  ``job.cancelled`` event.
 - ``campaign``: an adaptive campaign submitted through ``repro scenario
   submit --adaptive --wait`` converges on fewer trials than the
   exhaustive compile, with a byte-identical winning-technique table.
@@ -303,6 +305,27 @@ def check_dashboard(tmp: str) -> None:
             f"${after['cost_usd'] - before['cost_usd']:.2f}, "
             f"{after['carbon_g'] - before['carbon_g']:.0f} gCO2 "
             f"({after['cells_accounted'] - before['cells_accounted']} cell(s))"
+        )
+
+        # The store narrates the cascades it makes on its own: cancelling
+        # a blocker ends its dependent's stream on the dependent's own
+        # event, not on the idle ring's heartbeat.  The uncached gate
+        # job keeps the blocker blocked while it is cancelled.
+        gate = client.submit(dict(FIG1_JOB, cache=False))
+        blocker = client.submit(dict(FIG1_JOB, depends_on=[gate["id"]]))
+        dependent = client.submit(dict(FIG1_JOB, depends_on=[blocker["id"]]))
+        stream = client.iter_events(job_id=dependent["id"])
+        assert next(stream)["event"] == "snapshot"
+        started = time.monotonic()
+        client.cancel(blocker["id"])
+        frames = list(stream)
+        elapsed = time.monotonic() - started
+        assert frames and frames[-1]["event"] == "end", frames
+        assert frames[-1]["data"].get("kind") == "job.cancelled", frames[-1]
+        assert elapsed < 5.0, elapsed
+        print(
+            f"[dashboard] cascade-cancelled dependent's stream ended "
+            f"{elapsed:.2f} s after its blocker's cancel"
         )
 
 

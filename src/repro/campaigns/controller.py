@@ -59,7 +59,7 @@ from repro.scenarios.spec import AdaptiveSpec, ScenarioSpec
 # (which imports app) — so the service names used at runtime are
 # imported lazily inside the handful of methods that need them.
 if TYPE_CHECKING:
-    from repro.service.store import JobStore
+    from repro.service.store_sqlite import SQLiteJobStore
 
 #: A key identifying one cell: (axis value, fraction, technique).
 CellKey = Tuple[Optional[float], float, str]
@@ -355,7 +355,9 @@ class Campaign:
 
     # -- the controller loop -------------------------------------------
 
-    def step(self, store: JobStore, notify: Optional[NotifyFn] = None) -> None:
+    def step(
+        self, store: SQLiteJobStore, notify: Optional[NotifyFn] = None
+    ) -> None:
         """One controller tick: consume finished batches, early-stop
         converged cells, advance refinement, detect completion.
         *notify* receives progress events (cell settled, probe wave
@@ -380,7 +382,7 @@ class Campaign:
                 },
             )
 
-    def _advance_cell(self, run: CellRun, store: JobStore) -> None:
+    def _advance_cell(self, run: CellRun, store: SQLiteJobStore) -> None:
         """Consume as many finished chain batches as are available."""
         from repro.service.store import JobState
 
@@ -405,7 +407,7 @@ class Campaign:
         if not run.settled and run.next_index >= len(run.job_ids):
             self._settle(run, store, "max_trials")
 
-    def _consume_batch(self, run: CellRun, store: JobStore) -> None:
+    def _consume_batch(self, run: CellRun, store: SQLiteJobStore) -> None:
         """Merge one finished batch into the cell's running summary and
         settle the cell when its budget or threshold is met."""
         assert self.adaptive is not None
@@ -440,7 +442,7 @@ class Campaign:
     def _settle(
         self,
         run: CellRun,
-        store: JobStore,
+        store: SQLiteJobStore,
         reason: str,
         failed: bool = False,
     ) -> None:
@@ -483,7 +485,7 @@ class Campaign:
             entries.append((technique, run.stats.mean, run.infeasible))
         return _best_of(entries)
 
-    def _advance_refinement(self, store: JobStore) -> None:
+    def _advance_refinement(self, store: SQLiteJobStore) -> None:
         """Kick off and advance crossover bisection."""
         assert self.adaptive is not None
         if self.adaptive.refine_depth < 1:
@@ -542,7 +544,7 @@ class Campaign:
         lo: float,
         hi: float,
         depth: int,
-        store: JobStore,
+        store: SQLiteJobStore,
     ) -> None:
         """Submit a probe wave inside ``(lo, hi)`` when its endpoints
         disagree on the best technique and the bracket is wider than
@@ -668,7 +670,7 @@ class Campaign:
 
     # -- status --------------------------------------------------------
 
-    def status(self, store: JobStore) -> Dict[str, Any]:
+    def status(self, store: SQLiteJobStore) -> Dict[str, Any]:
         """The ``GET /v1/campaigns/{id}`` body."""
         from repro.service.store import JobState
 
@@ -777,7 +779,7 @@ class CampaignRegistry:
             except KeyError:
                 raise UnknownCampaign(campaign_id) from None
 
-    def status(self, campaign_id: str, store: JobStore) -> Dict[str, Any]:
+    def status(self, campaign_id: str, store: SQLiteJobStore) -> Dict[str, Any]:
         """Status payload of one campaign (see :meth:`Campaign.status`)."""
         with self._lock:
             try:
@@ -786,7 +788,9 @@ class CampaignRegistry:
                 raise UnknownCampaign(campaign_id) from None
             return campaign.status(store)
 
-    def step_all(self, store: JobStore, notify: Optional[NotifyFn] = None) -> None:
+    def step_all(
+        self, store: SQLiteJobStore, notify: Optional[NotifyFn] = None
+    ) -> None:
         """One controller tick over every adaptive campaign."""
         with self._lock:
             for campaign in self._campaigns.values():

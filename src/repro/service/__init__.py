@@ -2,8 +2,9 @@
 
 Turns the one-shot CLI into a long-running control plane plus a fleet
 of worker agents: an HTTP JSON API accepts figure/table/sweep/
-selection jobs into a durable queue behind a pluggable
-:class:`~repro.service.store.JobStore` interface, worker *agents* —
+selection jobs into a durable SQLite queue
+(:class:`~repro.service.store_sqlite.SQLiteJobStore`) that narrates
+every transition it commits to the live telemetry feed, worker *agents* —
 in-process threads (``repro serve --workers N``) or separate
 processes on other hosts (``repro agent``) — lease batches of jobs
 and drain them through the shared experiment entrypoint
@@ -14,11 +15,12 @@ seeds, same cache, same renderers.
 
 Layers (each its own module, all stdlib-only):
 
-- :mod:`repro.service.store` — the job-store interface and backend
-  factory: states ``queued -> running -> done/failed/cancelled``,
-  atomic batch claims, crash-recovery lease timeouts, worker sites.
-- :mod:`repro.service.store_sqlite` — the SQLite reference backend
-  (constructed only through :func:`~repro.service.store.create_store`).
+- :mod:`repro.service.store` — the job records, states and errors,
+  and the store factory :func:`~repro.service.store.create_store`.
+- :mod:`repro.service.store_sqlite` — the job store: states ``queued
+  -> running -> done/failed/cancelled``, atomic batch claims,
+  crash-recovery lease timeouts, dependencies, worker sites, and one
+  lifecycle event per committed transition.
 - :mod:`repro.service.jobs` — the job specification (what to run, at
   which executor settings) and its validation.
 - :mod:`repro.service.protocol` — the wire protocol of the
@@ -47,25 +49,25 @@ from repro.service.store import (
     DuplicateJob,
     JobRecord,
     JobState,
-    JobStore,
     QueueFull,
     SiteRecord,
     UnknownJob,
     UnknownSite,
     create_store,
 )
+from repro.service.store_sqlite import SQLiteJobStore
 
 __all__ = [
     "DuplicateJob",
     "JobRecord",
     "JobSpec",
     "JobState",
-    "JobStore",
     "LocalJobSource",
     "QueueFull",
     "RemoteJobSource",
     "ReproService",
     "RetryPolicy",
+    "SQLiteJobStore",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",

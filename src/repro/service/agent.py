@@ -13,13 +13,13 @@ idempotently.  Two deployments of the same engine:
   plane form the worker fleet.
 - **Local** (:class:`repro.service.worker.WorkerPool`): the in-process
   worker pool inside ``repro serve`` drives :class:`LocalJobSource` —
-  the same engine calling the :class:`repro.service.store.JobStore`
-  interface directly, so ``repro serve`` with no fleet behaves exactly
-  as before the split.
+  the same engine calling the
+  :class:`repro.service.store_sqlite.SQLiteJobStore` directly, so
+  ``repro serve`` with no fleet behaves exactly as before the split.
 
 Claims do not poll.  A claim that finds nothing claimable waits, for
-at most :data:`CLAIM_WAIT_S`, on the control plane's telemetry ring —
-where the store narrates every job transition after it commits — and
+at most :data:`CLAIM_WAIT_S`, on the ring of the store's telemetry hub
+— where the store narrates every job transition it commits — and
 tries the store again only after a transition that can make a job
 claimable (:func:`claim_waiting`).  The remote route runs that wait
 server-side (the claim's ``wait_s`` field), the local source in
@@ -50,9 +50,9 @@ from repro.obs import counters as obs_counters
 from repro.obs import live
 from repro.service.jobs import JobSpec, ValidationError
 from repro.service.protocol import PROTOCOL_VERSION
-from repro.service.store import JobRecord, JobState, JobStore
+from repro.service.store import JobRecord, JobState
+from repro.service.store_sqlite import SQLiteJobStore
 from repro.telemetry.hub import wakes_claims
-from repro.telemetry.ring import TelemetryRing
 
 #: Seconds one claim waits for claimable work before it comes back
 #: empty.  An idle agent therefore makes at most one claim request per
@@ -65,18 +65,13 @@ class JobSource(abc.ABC):
     """Where an agent gets work and pushes results.
 
     The two implementations are :class:`LocalJobSource` (direct
-    :class:`JobStore` calls, in-process) and :class:`RemoteJobSource`
+    store calls, in-process) and :class:`RemoteJobSource`
     (the HTTP API, cross-host).  Both expose the same lease-based
     verbs, so :class:`WorkerAgent` is deployment-agnostic.
     """
 
     #: The registered site name (None for the in-process pool).
     site: Optional[str] = None
-
-    #: Whether :meth:`claim_batch` can wait for work.  After an empty
-    #: claim from a source that cannot, the puller backs off
-    #: ``poll_interval_s`` before it claims again.
-    waits: bool = True
 
     @abc.abstractmethod
     def register(self, meta: Dict[str, Any]) -> None:
@@ -127,8 +122,7 @@ class JobSource(abc.ABC):
 
 
 def claim_waiting(
-    store: JobStore,
-    ring: TelemetryRing,
+    store: SQLiteJobStore,
     worker: str,
     lease_s: float,
     limit: int,
@@ -138,9 +132,9 @@ def claim_waiting(
     since: Optional[int] = None,
 ) -> List[JobRecord]:
     """Lease up to *limit* jobs from *store*; with nothing claimable,
-    wait up to *wait_s* seconds on *ring* (the telemetry ring the store
-    narrates its transitions into) and try again after each transition
-    that can make a job claimable.
+    wait up to *wait_s* seconds on the ring the store narrates its
+    transitions into and try again after each transition that can make
+    a job claimable.
 
     Returns the batch, or an empty list once the deadline passes or
     the hub closes.  Raises :class:`DrainRequested` when *site* starts
@@ -149,6 +143,7 @@ def claim_waiting(
     before checks of its own, else the ring's ``last_seq`` — so no
     transition committed during an attempt is lost.
     """
+    ring = store.hub.ring
     seq = ring.last_seq if since is None else since
     deadline = time.monotonic() + wait_s
     while True:
@@ -169,19 +164,12 @@ def claim_waiting(
 
 
 class LocalJobSource(JobSource):
-    """Direct store-interface calls (the in-process pool's source).
+    """Direct store calls (the in-process pool's source).  Claims wait
+    on the ring the store narrates into, as the HTTP claim route
+    does."""
 
-    *hub* is the telemetry hub *store* narrates into (a
-    :class:`repro.telemetry.store.TelemetryStore` over it); claims
-    wait on its ring as the HTTP claim route does.  A bare store
-    gives no wake-up, so without a hub the puller polls it.
-    """
-
-    def __init__(self, store: JobStore, hub: Any = None) -> None:
+    def __init__(self, store: SQLiteJobStore) -> None:
         self.store = store
-        self.hub = hub
-        self.site = None
-        self.waits = hub is not None
 
     def register(self, meta: Dict[str, Any]) -> None:
         """Nothing to announce: the store is right here."""
@@ -190,15 +178,11 @@ class LocalJobSource(JobSource):
         self, worker: str, lease_s: float, limit: int, wait_s: float = 0.0
     ) -> List[JobRecord]:
         """Lease up to *limit* jobs straight from the store, waiting
-        on the hub when there is one.  A closed hub means the service
-        is shutting down: raises :class:`DrainRequested` so the
-        puller stops claiming."""
-        if self.hub is None:
-            return self.store.claim_batch(worker, lease_s, limit, site=self.site)
-        batch = claim_waiting(
-            self.store, self.hub.ring, worker, lease_s, limit, wait_s=wait_s
-        )
-        if not batch and self.hub.ring.closed:
+        on its hub's ring.  A closed ring means the service is shutting
+        down: raises :class:`DrainRequested` so the puller stops
+        claiming."""
+        batch = claim_waiting(self.store, worker, lease_s, limit, wait_s=wait_s)
+        if not batch and self.store.hub.ring.closed:
             raise DrainRequested("local")
         return batch
 
@@ -402,8 +386,7 @@ class WorkerAgent:
     run — used by tests and by operators staging work).  *on_tick*
     runs once per puller iteration (the in-process pool hangs cache
     pruning on it).  *poll_interval_s* is the back-off after a failed
-    claim, the poll period of a source that cannot wait, and how often
-    idle executors check for shutdown.
+    claim and how often idle executors check for shutdown.
     """
 
     def __init__(
@@ -617,8 +600,6 @@ class WorkerAgent:
                         self._handoff.put(record, timeout=self.lease_s)
                     except queue.Full:  # pragma: no cover - free slots held
                         self.source.release(self.identity, record.id)
-            elif not self.source.waits:
-                self._stop.wait(self.poll_interval_s)
 
     def _executor_loop(self, name: str) -> None:
         while True:

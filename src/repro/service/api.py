@@ -198,6 +198,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             except ValueError:
                 self._send_json(400, {"error": "limit must be an integer"})
                 return
+            # SQLite reads a negative LIMIT as "no limit", and cannot
+            # bind an integer beyond 64 bits.
+            if not 1 <= limit < 2**63:
+                self._send_json(
+                    400, {"error": f"limit must be 1 to {2**63 - 1}"}
+                )
+                return
             records = service.store.list_jobs(state=state, limit=limit)
             self._send_json(
                 200, {"jobs": [r.to_payload() for r in records]}

@@ -1,6 +1,6 @@
 """Composition root: store + worker pool + HTTP server.
 
-:class:`ReproService` wires the durable :class:`JobStore`, the
+:class:`ReproService` wires the durable job store, the
 :class:`WorkerPool`, and the JSON API into one process with a graceful
 lifecycle:
 
@@ -13,6 +13,10 @@ lifecycle:
 - :meth:`ReproService.serve_forever` additionally installs SIGTERM /
   SIGINT handlers that trigger that same graceful shutdown (what
   ``repro serve`` runs).
+
+The store narrates every transition it commits into the service's
+telemetry hub (sized by ``ServiceConfig.telemetry_ring``); the SSE
+routes, waiting claims and the campaign controller follow its ring.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from repro.service.store import (
     create_store,
 )
 from repro.service.worker import WorkerPool
-from repro.telemetry import TERMINAL_KINDS, TelemetryHub, TelemetryStore
+from repro.telemetry import TERMINAL_KINDS, TelemetryHub
 
 #: Counter namespaces a completion push may add to.  The control plane
 #: keeps ``service.*`` and ``agent.*`` itself, so no agent can inflate
@@ -107,16 +111,11 @@ class ReproService:
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.hub = TelemetryHub(capacity=self.config.telemetry_ring)
-        # The telemetry decorator wraps the store *before* anything
-        # else sees it, so both the in-process pool and the fleet API
-        # narrate every lifecycle transition into the one ring.
-        self.store = TelemetryStore(
-            create_store(
-                self.config.db_path,
-                queue_limit=self.config.queue_limit,
-                max_attempts=self.config.max_attempts,
-            ),
-            self.hub,
+        self.store = create_store(
+            self.config.db_path,
+            queue_limit=self.config.queue_limit,
+            max_attempts=self.config.max_attempts,
+            hub=self.hub,
         )
         self.cache = ResultCache(directory=self.config.cache_dir, enabled=True)
         prune_max_bytes = (
@@ -132,7 +131,6 @@ class ReproService:
             cache=self.cache,
             prune_max_bytes=prune_max_bytes,
             prune_interval_s=self.config.cache_prune_interval_s,
-            telemetry=self.hub,
         )
         self.campaigns = CampaignRegistry()
         self._server: Optional[service_api.ServiceHTTPServer] = None
@@ -503,7 +501,7 @@ class ReproService:
                     break
 
     def cancel(self, job_id: str) -> JobRecord:
-        """Cancel *job_id* (see :meth:`JobStore.cancel`)."""
+        """Cancel *job_id* (see :meth:`SQLiteJobStore.cancel`)."""
         record = self.store.cancel(job_id)
         if record.state == "cancelled":
             obs_counters.increment("service.jobs_cancelled")
@@ -562,7 +560,6 @@ class ReproService:
         try:
             batch = claim_waiting(
                 self.store,
-                self.hub.ring,
                 request.worker,
                 request.lease_s,
                 request.limit,

@@ -1,43 +1,23 @@
-"""The job-store interface and backend factory.
+"""Job-store records, states and errors, and the store factory.
 
-The service's control plane owns a durable queue of jobs moving
-through ``queued -> running -> done/failed/cancelled``.  This module
-defines the *contract* of that queue — :class:`JobStore`, an abstract
-base class — plus the plain-data records, the store exceptions, and
-the URL factory the service builds its store with (``--store
+The control plane owns a durable queue of jobs moving through
+``queued -> running -> done/failed/cancelled``.  The queue itself is
+:class:`repro.service.store_sqlite.SQLiteJobStore` (its module
+docstring states the contract); this module holds what its callers
+share with it — the plain-data records, the job, dependency and site
+states, the store exceptions — plus :func:`create_store`, the URL
+factory the service builds its store with (``--store
 sqlite://results/service.db``).
-
-The contract every backend must honour (the SQLite reference
-implementation lives in :mod:`repro.service.store_sqlite`):
-
-- **Atomic submission** — :meth:`JobStore.submit` either enqueues the
-  whole job or raises (:class:`QueueFull` at the depth bound,
-  :class:`DuplicateJob` on an id collision); nothing partial.
-- **Atomic claims** — :meth:`JobStore.claim_batch` selects and leases
-  up to *limit* runnable jobs inside ONE transaction, so two workers
-  (threads, processes, or hosts) can never run the same job.
-- **Lease timeouts** — a claim holds a lease; a worker that dies
-  simply stops renewing, and once the lease expires the job is
-  claimable again.  A job that burns ``max_attempts`` leases is marked
-  failed rather than looping forever.
-- **Lease-holder-only completion** — :meth:`JobStore.complete` /
-  :meth:`JobStore.fail` succeed only for the current lease holder, so
-  a stale or resurrected worker can never clobber a re-run's result.
-- **Dependencies** — a job submitted with ``depends_on`` parents sits
-  in ``blocked`` (never claimable) until every parent is terminal;
-  release happens atomically inside the transaction that finished the
-  last parent, and failed/cancelled parents cascade per
-  :class:`DepPolicy`.
-- **Sites** — remote worker agents register a named *site*; the store
-  tracks its state (``active``/``draining``), last heartbeat, and the
-  per-site job ledger that feeds ``/v1/metrics``.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.service.store_sqlite import SQLiteJobStore
+    from repro.telemetry.hub import TelemetryHub
 
 
 class QueueFull(RuntimeError):
@@ -194,156 +174,8 @@ class SiteRecord:
         }
 
 
-class JobStore(abc.ABC):
-    """Abstract durable job queue (see the module docstring for the
-    semantics every backend must honour).
-
-    Concrete backends are obtained through :func:`create_store`; the
-    service never instantiates one directly.
-    """
-
-    #: Bound on *queued* jobs (running/finished don't count).
-    queue_limit: int
-    #: Leases a job may burn before it is marked failed.
-    max_attempts: int
-    #: Injectable time source (tests advance it without sleeping).
-    clock: Callable[[], float]
-
-    # -- lifecycle -----------------------------------------------------
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Release backend resources (idempotent)."""
-
-    # -- submission / inspection ---------------------------------------
-
-    @abc.abstractmethod
-    def submit(
-        self,
-        spec: Dict[str, Any],
-        job_id: Optional[str] = None,
-        depends_on: Optional[Sequence[str]] = None,
-        dep_policy: str = DepPolicy.CASCADE,
-    ) -> str:
-        """Enqueue *spec*; returns the job id.  Raises
-        :class:`QueueFull` at the depth bound and :class:`DuplicateJob`
-        when *job_id* is already taken.
-
-        *depends_on* names parent jobs that must reach a terminal state
-        first: the new job starts ``blocked`` (or ``queued`` directly
-        when every parent is already terminal) and is released
-        atomically, inside the same transaction that finishes the last
-        parent.  A parent that fails or is cancelled propagates per
-        *dep_policy* (:class:`DepPolicy`).  Unknown parent ids raise
-        :class:`UnknownJob` — nothing partial is enqueued."""
-
-    @abc.abstractmethod
-    def get(self, job_id: str) -> JobRecord:
-        """The job with *job_id*; raises :class:`UnknownJob` if absent."""
-
-    @abc.abstractmethod
-    def list_jobs(
-        self, state: Optional[str] = None, limit: int = 100
-    ) -> List[JobRecord]:
-        """Most-recent-first listing, optionally filtered by state."""
-
-    @abc.abstractmethod
-    def counts(self) -> Dict[str, int]:
-        """Job count per state (zero-filled for absent states)."""
-
-    @abc.abstractmethod
-    def queue_depth(self) -> int:
-        """Number of jobs currently waiting to be claimed."""
-
-    # -- claiming and completion (the worker protocol) -----------------
-
-    @abc.abstractmethod
-    def claim_batch(
-        self,
-        worker: str,
-        lease_s: float,
-        limit: int,
-        site: Optional[str] = None,
-    ) -> List[JobRecord]:
-        """Atomically lease up to *limit* runnable jobs to *worker*.
-
-        Runnable means: expired-lease ``running`` jobs (crash recovery
-        — oldest first), then ``queued`` jobs in submission order.  An
-        expired job that already burned ``max_attempts`` leases is
-        marked failed instead of being handed out again.  The whole
-        batch is ONE transaction: concurrent claimers can never
-        overlap.  *site* is recorded on the claimed rows for the
-        per-site metrics breakdown."""
-
-    def claim(
-        self, worker: str, lease_s: float, site: Optional[str] = None
-    ) -> Optional[JobRecord]:
-        """Single-job convenience over :meth:`claim_batch`."""
-        batch = self.claim_batch(worker, lease_s, limit=1, site=site)
-        return batch[0] if batch else None
-
-    @abc.abstractmethod
-    def renew(self, job_id: str, worker: str, lease_s: float) -> bool:
-        """Extend *worker*'s lease on a running job (heartbeat).
-        Returns False when the job is no longer leased to *worker*."""
-
-    @abc.abstractmethod
-    def complete(self, job_id: str, worker: str, result: str) -> bool:
-        """Record a successful result from the current lease holder
-        (False otherwise — the stale worker's result is discarded).  A
-        completion racing a cancellation lands ``cancelled`` with the
-        result attached."""
-
-    @abc.abstractmethod
-    def fail(self, job_id: str, worker: str, error: str) -> bool:
-        """Record a failed execution from the current lease holder."""
-
-    @abc.abstractmethod
-    def release(self, job_id: str, worker: str) -> bool:
-        """Return a claimed-but-unstarted job to the queue (shutdown
-        path); the attempt is refunded so a drain/restart cycle never
-        pushes a job toward its attempts bound."""
-
-    @abc.abstractmethod
-    def cancel(self, job_id: str) -> JobRecord:
-        """Cancel a job: queued jobs flip to ``cancelled`` immediately,
-        running jobs get ``cancel_requested`` set (the worker honours
-        it), terminal jobs are left untouched."""
-
-    @abc.abstractmethod
-    def result_text(self, job_id: str) -> Optional[str]:
-        """The stored result body (None unless the job finished with
-        one)."""
-
-    # -- sites (the fleet protocol) ------------------------------------
-
-    @abc.abstractmethod
-    def register_site(
-        self, name: str, meta: Optional[Dict[str, Any]] = None
-    ) -> SiteRecord:
-        """Register (or re-activate) the site *name*; idempotent."""
-
-    @abc.abstractmethod
-    def heartbeat_site(self, name: str) -> SiteRecord:
-        """Record a liveness heartbeat; raises :class:`UnknownSite`."""
-
-    @abc.abstractmethod
-    def drain_site(self, name: str) -> SiteRecord:
-        """Mark the site draining: its agents stop receiving claims and
-        shut down once their in-flight jobs finish."""
-
-    @abc.abstractmethod
-    def list_sites(self) -> List[SiteRecord]:
-        """Every registered site, in registration order."""
-
-    @abc.abstractmethod
-    def site_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-site job ledger: ``{site: {completed, failed, inflight,
-        cancelled}}`` for every site that ever claimed a job."""
-
-
 # ---------------------------------------------------------------------------
-# Backend factory
+# Store factory
 # ---------------------------------------------------------------------------
 
 
@@ -353,13 +185,15 @@ def create_store(
     queue_limit: int = 256,
     max_attempts: int = 3,
     clock: Optional[Callable[[], float]] = None,
-) -> JobStore:
+    hub: Optional[TelemetryHub] = None,
+) -> SQLiteJobStore:
     """Construct a job store from a backend URL.
 
-    ``sqlite://results/service.db`` selects the SQLite backend with
-    that database path (``sqlite://:memory:`` for an ephemeral store).
-    A bare path with no scheme selects SQLite too.  This factory is
-    the only place stores are constructed.
+    ``sqlite://results/service.db`` selects the SQLite store with that
+    database path (``sqlite://:memory:`` for an ephemeral store).  A
+    bare path with no scheme selects SQLite too.  *hub* is the
+    telemetry hub the store narrates every transition into (a fresh
+    one when None).
     """
     from repro.service.store_sqlite import SQLiteJobStore
 
@@ -376,5 +210,6 @@ def create_store(
         path or ":memory:",
         queue_limit=queue_limit,
         max_attempts=max_attempts,
+        hub=hub,
         **kwargs,
     )

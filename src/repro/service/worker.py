@@ -4,16 +4,15 @@ Since the control-plane/agent split, all execution machinery lives in
 :class:`repro.service.agent.WorkerAgent`; this module keeps the
 historical :class:`WorkerPool` surface by wiring that engine to a
 :class:`repro.service.agent.LocalJobSource` — direct calls on the
-:class:`repro.service.store.JobStore` interface, no HTTP.  ``repro
+:class:`repro.service.store_sqlite.SQLiteJobStore`, no HTTP.  ``repro
 serve`` with in-process workers therefore behaves exactly as it did
 before the split, while remote ``repro agent`` processes drive the
 very same engine over the API.
 
 The pool adds one thing the generic agent doesn't have: periodic
 result-cache pruning, hung on the agent's per-tick hook.  Its claims
-wait on the *telemetry* hub's ring (the hub the service's store
-narrates into); with no hub they poll the store every
-``poll_interval_s``.
+wait on the ring of the store's telemetry hub, and watched jobs
+stream their simulation events into that same hub.
 """
 
 from __future__ import annotations
@@ -21,16 +20,16 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from typing import Any, Optional
+from typing import Optional
 
 from repro.experiments.parallel import ResultCache
 from repro.obs import counters as obs_counters
 from repro.service.agent import LocalJobSource, WorkerAgent
-from repro.service.store import JobStore
+from repro.service.store_sqlite import SQLiteJobStore
 
 
 class WorkerPool(WorkerAgent):
-    """Runs jobs claimed from a :class:`JobStore` in-process.
+    """Runs jobs claimed from a :class:`SQLiteJobStore` in-process.
 
     ``workers=0`` is a valid paused pool (jobs queue up but never
     run — used by tests and by operators staging work).  *cache* and
@@ -39,7 +38,7 @@ class WorkerPool(WorkerAgent):
 
     def __init__(
         self,
-        store: JobStore,
+        store: SQLiteJobStore,
         *,
         workers: int = 1,
         lease_s: float = 60.0,
@@ -47,7 +46,6 @@ class WorkerPool(WorkerAgent):
         cache: Optional[ResultCache] = None,
         prune_max_bytes: Optional[int] = None,
         prune_interval_s: float = 300.0,
-        telemetry: Optional[Any] = None,
     ) -> None:
         self.store = store
         self.prune_max_bytes = prune_max_bytes
@@ -55,14 +53,14 @@ class WorkerPool(WorkerAgent):
         self._prune_due = threading.Event()
         self._last_prune = time.monotonic()
         super().__init__(
-            LocalJobSource(store, hub=telemetry),
+            LocalJobSource(store),
             workers=workers,
             batch_size=max(workers, 1),
             lease_s=lease_s,
             poll_interval_s=poll_interval_s,
             cache=cache,
             identity=f"local-{uuid.uuid4().hex[:8]}",
-            telemetry=telemetry,
+            telemetry=store.hub,
             on_tick=self._maybe_prune,
         )
 

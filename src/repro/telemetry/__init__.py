@@ -9,10 +9,8 @@ literature):
   with monotonic sequence numbers and dropped-event accounting;
 - :mod:`repro.telemetry.hub` — the control-plane hub: the ring, the
   per-job watch registry, and the publish surface the other layers
-  feed;
-- :mod:`repro.telemetry.store` — the job-store decorator narrating
-  every lifecycle transition (both the in-process pool and the remote
-  fleet go through it);
+  feed (the job store narrates every transition it commits into it,
+  whether the in-process pool or the remote fleet drove it);
 - :mod:`repro.telemetry.forwarder` — the agent-side bounded buffer
   batching events back over ``POST /v1/sites/{name}/events``;
 - :mod:`repro.telemetry.dashboard` — the dependency-free HTML/JS
@@ -30,7 +28,6 @@ See ``docs/OBSERVABILITY.md`` (streaming section) and
 from repro.telemetry.forwarder import EventForwarder, ForwardingTelemetry
 from repro.telemetry.hub import SKIP_SIM_EVENTS, TERMINAL_KINDS, TelemetryHub
 from repro.telemetry.ring import TelemetryEvent, TelemetryRing
-from repro.telemetry.store import TelemetryStore
 
 __all__ = [
     "EventForwarder",
@@ -40,5 +37,4 @@ __all__ = [
     "TelemetryEvent",
     "TelemetryHub",
     "TelemetryRing",
-    "TelemetryStore",
 ]

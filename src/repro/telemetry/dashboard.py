@@ -176,7 +176,7 @@ function renderMetrics(m) {
 var MAX_ROWS = 200;
 function tickerClass(kind) {
   if (kind === "job.failed" || kind.indexOf("Failure") >= 0) return "bad";
-  if (kind === "job.retrying" || kind === "site.draining") return "warn";
+  if (kind === "site.draining") return "warn";
   if (kind === "job.done" || kind === "campaign.done") return "ok";
   return "dim";
 }

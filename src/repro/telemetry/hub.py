@@ -3,10 +3,11 @@
 :class:`TelemetryHub` is the single point every live event flows
 through on its way to SSE consumers:
 
-- the :class:`repro.telemetry.store.TelemetryStore` wrapper publishes
-  job lifecycle transitions (submitted/claimed/done/failed/...) for
-  both the in-process pool and the remote fleet, because both paths
-  go through the one :class:`repro.service.store.JobStore`;
+- the job store (:class:`repro.service.store_sqlite.SQLiteJobStore`)
+  publishes one lifecycle event (submitted/claimed/done/failed/...)
+  per transition it commits — cascades and lease retirements included
+  — for both the in-process pool and the remote fleet, because both
+  paths go through that one store;
 - the fleet-events route feeds forwarded agent events in
   (:meth:`ingest`), tagged with the originating site;
 - the in-process worker pool asks :meth:`job_sink` for a live
@@ -40,9 +41,9 @@ from repro.telemetry.ring import TelemetryEvent, TelemetryRing
 TERMINAL_KINDS = ("job.done", "job.failed", "job.cancelled")
 
 #: Lifecycle kinds after which a waiting claim tries the store again: a
-#: requeued job, or a terminal one (it may release blocked dependents).
+#: released job, or a terminal one (it may release blocked dependents).
 #: A ``job.submitted`` wakes claims only when the job landed ``queued``.
-CLAIM_WAKE_KINDS = ("job.released", "job.retrying") + TERMINAL_KINDS
+CLAIM_WAKE_KINDS = ("job.released",) + TERMINAL_KINDS
 
 #: Simulation event classes too chatty for a live feed (one
 #: ``ActivitySpan`` per compute segment, one ``CheckpointTaken`` per

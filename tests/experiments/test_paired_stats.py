@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.experiments.stats import PairedSummary, paired_summary
+from repro.experiments.stats import paired_summary
 
 
 class TestPairedSummary:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.failures.generator import AppFailureGenerator, Failure
 from repro.failures.loganalysis import (
-    FailureLogSummary,
     analyze_failure_log,
     interarrival_statistics,
 )

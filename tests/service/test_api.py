@@ -118,6 +118,22 @@ class TestJobLifecycle:
             client.list_jobs(state="sleeping")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "state, limit",
+        [(None, "abc"), (None, -1), (None, 0), ("queued", -7), (None, 2**63)],
+    )
+    def test_list_jobs_bad_limit_400(self, paused_service, state, limit):
+        # SQLite reads a negative LIMIT as "no limit" (without the
+        # check, -1 would list every job) and cannot bind 2**63.
+        client = ServiceClient(paused_service.url)
+        client.submit(experiment="table1")
+        with pytest.raises(ServiceError) as excinfo:
+            client.list_jobs(state=state, limit=limit)
+        assert excinfo.value.status == 400
+        assert "limit" in excinfo.value.message
+        assert "\n" not in excinfo.value.message
+        assert len(client.list_jobs(limit=1)["jobs"]) == 1
+
     def test_result_before_done_409(self, paused_service):
         client = ServiceClient(paused_service.url)
         job = client.submit(experiment="table1")

@@ -191,7 +191,6 @@ class TestAdaptiveCampaigns:
     def test_adaptive_results_match_exhaustive_prefix(self, client):
         """Byte-determinism: a converged cell's consumed batches are
         the exact prefix of an exhaustive run of the same spec."""
-        from repro.experiments.stats import SummaryStats
         from repro.scenarios.runtime import run_scenario
         from repro.scenarios.schema import parse_scenario
 

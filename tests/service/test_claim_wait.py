@@ -92,17 +92,16 @@ class Claim(threading.Thread):
 
 
 def count_store_attempts(service, monkeypatch):
-    """Count ``claim_batch`` calls on the store under the telemetry
-    wrapper (one per store attempt of a claim)."""
+    """Count ``claim_batch`` calls on the store (one per store attempt
+    of a claim)."""
     calls = []
-    inner = service.store._store
-    original = inner.claim_batch
+    original = service.store.claim_batch
 
     def counted(*args, **kwargs):
         calls.append(time.monotonic())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(inner, "claim_batch", counted)
+    monkeypatch.setattr(service.store, "claim_batch", counted)
     return calls
 
 
@@ -284,9 +283,7 @@ class TestAgentWaits:
         assert rerun_at - expires < CLAIM_WAIT_S + 0.5
 
     def test_local_source_waits_on_the_hub(self, service):
-        source = LocalJobSource(service.store, hub=service.hub)
-        assert source.waits
-        assert not LocalJobSource(service.store).waits
+        source = LocalJobSource(service.store)
         timer = threading.Timer(
             0.2, lambda: service.store.submit(dict(TABLE1))
         )

@@ -1,15 +1,10 @@
-"""TelemetryStore: one lifecycle event per committed transition.
-
-Pins the wrapper's inlined state strings against the real
-``repro.service.store`` constants (the wrapper cannot import them at
-runtime without a cycle).
-"""
+"""The job store narrates: one lifecycle event per committed transition."""
 
 import pytest
 
-import repro.telemetry.store as telemetry_store
-from repro.service.store import DepPolicy, JobState, create_store
-from repro.telemetry import TelemetryHub, TelemetryStore
+from repro.service import store_sqlite
+from repro.service.store import JobState, create_store
+from repro.telemetry import TelemetryHub
 
 SPEC = {"experiment": "fig1", "quick": True}
 
@@ -21,8 +16,7 @@ def hub():
 
 @pytest.fixture
 def store(hub):
-    delegate = create_store("sqlite://:memory:", max_attempts=2)
-    return TelemetryStore(delegate, hub)
+    return create_store("sqlite://:memory:", max_attempts=2, hub=hub)
 
 
 def kinds(hub):
@@ -33,14 +27,6 @@ def kinds(hub):
 def last(hub):
     events, _ = hub.ring.read_since(0)
     return events[-1]
-
-
-class TestInlinedConstants:
-    def test_wrapper_strings_match_store_constants(self):
-        assert telemetry_store._CANCELLED == JobState.CANCELLED
-        assert telemetry_store._QUEUED == JobState.QUEUED
-        assert tuple(telemetry_store._TERMINAL) == tuple(JobState.TERMINAL)
-        assert telemetry_store._CASCADE == DepPolicy.CASCADE
 
 
 class TestLifecycleEvents:
@@ -72,9 +58,6 @@ class TestLifecycleEvents:
         assert event.data == {"state": JobState.DONE}
 
     def test_fail_publishes_job_failed_with_error_line(self, store, hub):
-        # This backend's fail() is always terminal (retries happen via
-        # lease expiry), so the wrapper's job.retrying branch stays
-        # dormant here — it guards backends that requeue on fail.
         job_id = store.submit(SPEC)
         store.claim("w1", lease_s=60)
         assert store.fail(job_id, "w1", "boom\ntraceback...")
@@ -84,10 +67,9 @@ class TestLifecycleEvents:
 
     def test_expired_lease_reclaim_publishes_fresh_claim(self, hub):
         clock = [0.0]
-        delegate = create_store(
-            "sqlite://:memory:", max_attempts=3, clock=lambda: clock[0]
+        store = create_store(
+            "sqlite://:memory:", max_attempts=3, clock=lambda: clock[0], hub=hub
         )
-        store = TelemetryStore(delegate, hub)
         job_id = store.submit(SPEC)
         store.claim("w1", lease_s=1)
         clock[0] = 10.0  # lease expired; the job is runnable again
@@ -134,13 +116,7 @@ class TestLifecycleEvents:
 
 
 class TestDelegation:
-    def test_unwrapped_surface_delegates(self, store):
-        job_id = store.submit(SPEC)
-        assert store.queue_depth() == 1
-        assert store.get(job_id).spec == SPEC
-        assert store.counts()[JobState.QUEUED] == 1
-
     def test_error_line_bounds_and_strips(self):
-        assert telemetry_store._error_line("  a\nb\nc ") == "a"
-        assert telemetry_store._error_line("") == ""
-        assert telemetry_store._error_line("x" * 500) == "x" * 200
+        assert store_sqlite._error_line("  a\nb\nc ") == "a"
+        assert store_sqlite._error_line("") == ""
+        assert store_sqlite._error_line("x" * 500) == "x" * 200

@@ -1,7 +1,5 @@
 """CLI tests for the ``repro grid`` and ``repro energy`` verbs."""
 
-import pytest
-
 from repro.cli import build_parser, main
 
 
